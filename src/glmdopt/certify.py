@@ -10,8 +10,10 @@ where f_i(z) is the objective along the lift of coordinate i.  A
 saturated design (exactly d support points at mass 1/d each) admits a
 cheaper test on d x d determinants, implemented by ``check_saturated``.
 
-Both checks evaluate the objective directly on perturbed allocations, so
-they are independent of the profile algebra used by the optimizers.
+``verify_optimal`` evaluates these inequalities from the leverages
+delta_i = w_i x_i' M(p)^-1 x_i, where they read delta_i <= d on zero-mass
+points and delta_i = d on support points (Kiefer and Wolfowitz, 1960);
+the tests check them against the determinant oracles in ``objective``.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
-from .objective import (
-    MASS_ATOL,
-    allocation,
-    design_matrix,
-    lift_allocation,
-    objective,
-)
+from .objective import (MASS_ATOL, allocation, design_matrix, information_inverse,
+                        leverages, lift_coefficients, objective)
 
 DEFAULT_TOL = 1e-7
 
@@ -80,7 +77,9 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     Masses at or below 1e-12 are clamped to zero before checking (noted
     per point); the equality condition is accepted within tol * f(p), and
     the 1/d mass bound carries the same tol as slack since a converged
-    saturated-type optimum sits at 1/d plus float drift.
+    saturated-type optimum sits at 1/d plus float drift.  Verdicts are
+    decided on the scale-free leverage form; lhs and rhs report the
+    objective values f_i(1/2), f_i(0) and their bounds.
 
     Raises
     ------
@@ -97,41 +96,44 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     if f <= 0.0:
         raise SingularDesign("cannot certify a design with f(p) = 0")
 
-    slack = tol * f
+    delta = leverages(X, w, information_inverse(X, w, p))
+    zero, over, at_zero, at_half, passed = _conditions(p, delta, d, tol)
     bound_zero = (d + 1.0) / 2.0**d * f
     checks = []
     for i in range(m):
-        note = ""
-        pi = float(p[i])
-        if pi <= MASS_ATOL:
-            if pi > 0.0:
-                note = f"mass {pi:.3g} clamped to zero"
-                pc = lift_allocation(p, i, 0.0)
-            else:
-                pc = p
-            lhs = objective(X, w, lift_allocation(pc, i, 0.5))
-            checks.append(
-                PointCheck(i, "zero-mass", lhs, bound_zero, lhs <= bound_zero + slack, note)
-            )
-        elif pi > 1.0 / d + tol:
-            checks.append(
-                PointCheck(
-                    i, "positive-mass", pi, 1.0 / d, False,
-                    "mass exceeds 1/d, which rules out optimality",
-                )
-            )
+        pi, ok = float(p[i]), bool(passed[i])
+        if zero[i]:
+            note = f"mass {pi:.3g} clamped to zero" if pi > 0.0 else ""
+            pc = PointCheck(i, "zero-mass", float(at_half[i]) * f, bound_zero, ok, note)
+        elif over[i]:
+            pc = PointCheck(i, "positive-mass", pi, 1.0 / d, False,
+                            "mass exceeds 1/d, which rules out optimality")
         else:
-            lhs = objective(X, w, lift_allocation(p, i, 0.0))
             rhs = (1.0 - pi * d) / (1.0 - pi) ** d * f
-            checks.append(
-                PointCheck(i, "positive-mass", lhs, rhs, abs(lhs - rhs) <= slack, note)
-            )
-    per_point = tuple(checks)
-    return OptimalityCertificate(
-        optimal=all(pc.passed for pc in per_point),
-        per_point=per_point,
-        tolerance=tol,
-    )
+            pc = PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok)
+        checks.append(pc)
+    return OptimalityCertificate(optimal=bool(passed.all()), per_point=tuple(checks), tolerance=tol)
+
+
+def _conditions(p, delta, d, tol):
+    """Zero-mass and over-1/d masks, f_i(0)/f, f_i(1/2)/f and verdicts.
+
+    The equality condition is decided with its common terms cancelled:
+    p_i |delta_i - d| / (1-p_i)^d <= tol.
+    """
+    zero = p <= MASS_ATOL
+    over = ~zero & (p > 1.0 / d + tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, at_zero = lift_coefficients(p, delta, d)
+        at_half = (a + at_zero) / 2.0**d
+        gap = p * np.abs(delta - d) / (1.0 - p) ** d
+    passed = np.where(zero, at_half <= (d + 1.0) / 2.0**d + tol, ~over & (gap <= tol))
+    return zero, over, at_zero, at_half, passed
+
+
+def certified(p, delta, d, tol: float = DEFAULT_TOL) -> bool:
+    """True when every point passes ``verify_optimal``'s conditions."""
+    return bool(_conditions(p, delta, d, tol)[-1].all())
 
 
 def _subset_det(X, rows) -> float:

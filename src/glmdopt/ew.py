@@ -17,15 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import ConfigError, NonFiniteInput, NonPositiveWeight, UnsupportedCombination
 from .liftone import LiftOneOptions, LiftOneResult, lift_one_optimize
 from .objective import design_matrix
-from .weights import FAMILY_LINKS, WEIGHT_FLOOR
+from .weights import FAMILY_LINKS, WEIGHT_FLOOR, nu_array
 
 _MC_BLOCKS = 32
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -74,49 +72,6 @@ def _mgf(comp, x: float) -> float:
         return 1.0
     t = (comp.hi - comp.lo) * x
     return math.exp(comp.lo * x) * math.expm1(t) / t
-
-
-def _nu_array(family_link: str, eta, shape=None, variance=None):
-    """Vectorized nu(eta); mirrors the scalar forms used for fixed beta."""
-    eta = np.asarray(eta, dtype=float)
-    if family_link == "binary-logit":
-        t = np.exp(-np.abs(eta))
-        return t / (1.0 + t) ** 2
-    if family_link == "binary-probit":
-        with np.errstate(under="ignore"):
-            return np.exp(-eta * eta - _LOG_2PI - log_ndtr(eta) - log_ndtr(-eta))
-    if family_link == "binary-cloglog":
-        with np.errstate(under="ignore", over="ignore"):
-            u = np.exp(eta)
-            out = np.zeros_like(u)
-            hi = u >= 30.0
-            out[hi] = np.exp(-u[hi])
-            mid = (u >= 1.0) & ~hi
-            out[mid] = np.expm1(u[mid]) * np.log1p(-np.exp(-u[mid])) ** 2
-            lo = (u > 0.0) & (u < 1.0)
-            out[lo] = np.expm1(u[lo]) * np.log(-np.expm1(-u[lo])) ** 2
-        return out
-    if family_link == "binary-loglog":
-        with np.errstate(under="ignore", over="ignore"):
-            u = np.exp(eta)
-            out = np.zeros_like(u)
-            big = u >= 700.0
-            out[big] = np.exp(2.0 * eta[big] - u[big])
-            rest = (u > 0.0) & ~big
-            out[rest] = u[rest] * u[rest] / np.expm1(u[rest])
-        return out
-    if family_link == "poisson-log":
-        return np.exp(eta)
-    if family_link == "gamma-inverse":
-        if shape is None or not (shape > 0):
-            raise ConfigError("gamma-inverse expected weights need shape k > 0")
-        with np.errstate(divide="ignore"):
-            return shape / (eta * eta)
-    if family_link == "normal-identity":
-        if variance is None or not (variance > 0):
-            raise ConfigError("normal-identity expected weights need variance > 0")
-        return np.full_like(eta, 1.0 / variance)
-    raise ConfigError(f"unknown family_link {family_link!r}")
 
 
 def expected_weights(
@@ -181,7 +136,7 @@ def expected_weights(
                     draws[:, j] = rng.uniform(comp.lo, comp.hi, nb)
                 else:
                     draws[:, j] = comp.value
-            nu = _nu_array(family_link, draws @ X.T, shape=shape, variance=variance)
+            nu = nu_array(family_link, draws @ X.T, shape=shape, variance=variance)
             acc += nu.sum(axis=0)
         ew = acc / float(samples)
     else:

@@ -5,8 +5,11 @@ and s - z onto point j (s = n_i + n_j) traces a concave quadratic
 
     f_ij(z) = A z(s - z) + B z + C (s - z) + D,
 
-whose integer maximum has a closed form.  A pass visits all C(m,2) pairs
-in random order and applies every improving exchange; the algorithm
+whose integer maximum has a closed form.  The coefficients come from the
+leverages delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j by Fedorov's (1972)
+f(n + a e_i + b e_j) / f(n) = (1 + a delta_ii)(1 + b delta_jj) - ab delta_ij^2.
+A pass visits all C(m,2) pairs in random order and applies every
+improving exchange, refreshing M(n)^-1 after each; the algorithm
 terminates when a full pass changes nothing.  Exact-design exchange has
 no global-optimality guarantee, so ``optimize_exact`` multi-starts it and
 keeps the best allocation found.
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import DesignError, DimensionMismatch, EmptyPair, SingularDesign
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import allocation, design_matrix, integer_allocation, objective
+from .objective import (allocation, design_matrix, information_inverse,
+                        integer_allocation, objective)
 
 _ACCEPT = 1.0 + 1e-12
 
@@ -126,6 +130,8 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     ------
     SingularDesign
         If f(n0) = 0.
+    DesignError
+        If a pass ever changes the total (an internal invariant).
     """
     X = design_matrix(X)
     m, d = X.shape
@@ -137,37 +143,54 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
         raise DimensionMismatch(f"allocation of length {len(n)} for {m} rows")
     total = int(n.sum())
 
-    f = objective(X, w, n)
-    if f <= 0.0:
+    if objective(X, w, n) <= 0.0:
         raise SingularDesign("starting exact design has a singular information matrix")
 
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(m), 2))
     for _ in range(10_000):
         changed = False
+        G = _pair_leverages(X, w, n)
         for k in rng.permutation(len(pairs)):
             i, j = pairs[k]
             s = int(n[i] + n[j])
             if s == 0:
                 continue
-            prof = pair_profile(X, w, n, i, j)
+            prof = _scaled_pair_profile(G, n, i, j, s)
             if prof.A > 0:
-                z, val = maximize_pair(prof, current=int(n[i]))
+                z, ratio = maximize_pair(prof, current=int(n[i]))
             else:
                 # affine profile: compare the endpoints, keep ties in place
-                z, val = max(
-                    ((0, s * prof.C + prof.D), (s, s * prof.B + prof.D)),
-                    key=lambda t: t[1],
-                )
-            if z != n[i] and val > f * _ACCEPT:
+                z, ratio = max(((0, s * prof.C + prof.D), (s, s * prof.B + prof.D)),
+                               key=lambda t: t[1])
+            if z != n[i] and ratio > _ACCEPT:
                 n[i] = z
                 n[j] = s - z
-                f = objective(X, w, n)
+                G = _pair_leverages(X, w, n)
                 changed = True
-        assert int(n.sum()) == total
+        if int(n.sum()) != total:
+            raise DesignError(f"exchange changed the total from {total} to {int(n.sum())}")
         if not changed:
             break
     return n
+
+
+def _pair_leverages(X, w, n):
+    """delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j as nested lists."""
+    H = X @ information_inverse(X, w, n.astype(float)) @ X.T
+    return (H * np.sqrt(np.outer(w, w))).tolist()
+
+
+def _scaled_pair_profile(G, n, i, j, s) -> PairProfile:
+    """The pair quadratic of f_ij(z) / f(n).  In the new counts (u, v)
+    Fedorov's identity is D + B u + C v + A u v, which along u + v = s is
+    A z(s-z) + B z + C(s-z) + D."""
+    dii, djj, dij2 = G[i][i], G[j][j], G[i][j] ** 2
+    ni, nj = float(n[i]), float(n[j])
+    B = max(dii * (1.0 - nj * djj) + nj * dij2, 0.0)
+    C = max(djj * (1.0 - ni * dii) + ni * dij2, 0.0)
+    D = max((1.0 - ni * dii) * (1.0 - nj * djj) - ni * nj * dij2, 0.0)
+    return PairProfile(A=dii * djj - dij2, B=B, C=C, D=D, s=s)
 
 
 def round_allocation(p, total: int) -> np.ndarray:

@@ -5,14 +5,16 @@ coordinate to the closed-form maximum of its profile polynomial
 
     f_i(z) = a z(1-z)^(d-1) + b (1-z)^d,
 
-rescaling the remaining mass proportionally.  Every ``safeguard_period``-th
+rescaling the remaining mass proportionally.  a and b come from the
+leverage of coordinate i, so the ascent works on ratios f_i(z)/f free of
+the weights' scale; M(p)^-1 is refreshed each round and carried through
+accepted lifts by Sherman-Morrison updates.  Every ``safeguard_period``-th
 round applies the single best coordinate move over all m instead of a
-random sweep, so the iteration cannot stall on sweep order.  After the
-improvement per round drops below ``tol`` the iterate is polished with
-further best-coordinate steps accepting any strict gain, which drives it
-to the coordinate-wise fixpoint where the optimality certificate holds
-tightly; the result reports ``converged`` only when that certificate
-passes.
+random sweep, so the iteration cannot stall on sweep order.  Once a round
+gains less than ``tol``, polish steps move the coordinate whose profile
+maximum lies farthest from its mass (near the optimum gains fall below
+rounding, displacements do not) until the optimality certificate holds;
+``converged`` is reported only when it does.
 """
 
 from __future__ import annotations
@@ -21,15 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import OptimalityCertificate, verify_optimal
+from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch, SingularDesign
-from .objective import allocation, design_matrix, lift_allocation, objective
-
-# Coordinates outside this band use the two-evaluation coefficient
-# extraction; inside it the cheaper interpolation through (p_i, f) is
-# numerically safe.
-_PRECISE_LO = 1e-8
-_PRECISE_HI = 0.99
+from .objective import (LiftProfile, allocation, design_matrix, information_inverse,
+                        leverages, lift_allocation, lift_coefficients, objective)
 
 _POLISH_CAP = 2000
 
@@ -89,26 +86,25 @@ def maximize_profile(prof) -> tuple[float, float]:
     return 0.0, b
 
 
-def _profile_coeffs(X, w, p, i, f, d):
-    """(a, b) for coordinate i, interpolating through (p_i, f) when safe."""
-    pi = p[i]
-    b = objective(X, w, lift_allocation(p, i, 0.0)) if pi > 0.0 else f
-    a = np.nan
-    if _PRECISE_LO <= pi <= _PRECISE_HI:
-        one = 1.0 - pi
-        a = (f - b * one**d) / (pi * one ** (d - 1))
-    if not np.isfinite(a):
-        a = objective(X, w, lift_allocation(p, i, 0.5)) * 2.0**d - b
-    return max(a, 0.0), max(b, 0.0)
+def _best_lift(pi, delta, d):
+    """(z*, f_i(z*)/f) for one coordinate with mass pi and leverage delta."""
+    a, b = lift_coefficients(pi, delta, d)
+    return maximize_profile(LiftProfile(a=max(a, 0.0), b=float(b), d=d))
 
 
-def _best_move(X, w, p, f, d, i):
-    a, b = _profile_coeffs(X, w, p, i, f, d)
-    if a > b * d:
-        z = (a - b * d) / ((a - b) * d)
-        one = 1.0 - z
-        return z, a * z * one ** (d - 1) + b * one**d
-    return 0.0, b
+def _all_lifts(X, w, p, d):
+    """Best lift of every coordinate, from a fresh M(p)^-1."""
+    delta = leverages(X, w, information_inverse(X, w, p))
+    return delta, [_best_lift(pi, di, d) for pi, di in zip(p.tolist(), delta.tolist())]
+
+
+def _lifted_inverse(M_inv, v, wi, delta, pi, z):
+    """M^-1 after lifting coordinate i from pi to z, by Sherman-Morrison:
+    the lift maps M to c (M + g w_i x_i x_i') with c = (1-z)/(1-pi),
+    g = z/c - pi; v = M^-1 x_i and delta = w_i x_i' v."""
+    c = (1.0 - z) / (1.0 - pi)
+    g = z / c - pi
+    return (M_inv - (g * wi / (1.0 + g * delta)) * np.outer(v, v)) / c
 
 
 def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> LiftOneResult:
@@ -138,8 +134,7 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     opts = opts or LiftOneOptions()
     p = np.full(m, 1.0 / m) if p0 is None else allocation(p0, m)
 
-    f = objective(X, w, p)
-    if f <= 0.0:
+    if objective(X, w, p) <= 0.0:
         raise SingularDesign("starting allocation has a singular information matrix")
 
     rng = np.random.default_rng(opts.seed)
@@ -149,21 +144,23 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     for rnd in range(1, opts.max_rounds + 1):
         rounds = rnd
         if rnd % opts.safeguard_period == 0:
-            moves = [_best_move(X, w, p, f, d, i) for i in range(m)]
+            _, moves = _all_lifts(X, w, p, d)
             best = max(range(m), key=lambda i: moves[i][1])
-            z, val = moves[best]
-            if not val > f * accept:
+            z, ratio = moves[best]
+            if not ratio > accept:
                 stationary = True
                 break
             p = lift_allocation(p, best, z)
-            f = val
         else:
+            M_inv = information_inverse(X, w, p)
             improved = False
             for i in rng.permutation(m):
-                z, val = _best_move(X, w, p, f, d, i)
-                if val > f * accept:
+                v = M_inv @ X[i]
+                delta = w[i] * float(X[i] @ v)
+                z, ratio = _best_lift(float(p[i]), delta, d)
+                if ratio > accept:
+                    M_inv = _lifted_inverse(M_inv, v, w[i], delta, p[i], z)
                     p = lift_allocation(p, i, z)
-                    f = val
                     improved = True
             if not improved:
                 stationary = True
@@ -172,16 +169,14 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     polish_steps = 0
     if stationary:
         for _ in range(min(200 * m, _POLISH_CAP)):
-            moves = [_best_move(X, w, p, f, d, i) for i in range(m)]
-            best = max(range(m), key=lambda i: moves[i][1])
-            z, val = moves[best]
-            if not val > f:
+            delta, moves = _all_lifts(X, w, p, d)
+            if certified(p, delta, d):
                 break
-            q = lift_allocation(p, best, z)
+            best = max(range(m), key=lambda i: abs(moves[i][0] - p[i]))
+            q = lift_allocation(p, best, moves[best][0])
             if np.array_equal(q, p):
                 break
             p = q
-            f = val
             polish_steps += 1
 
     f_opt = objective(X, w, p)

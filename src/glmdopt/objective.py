@@ -6,7 +6,10 @@ The objective for an approximate design p on m candidate points is
 
 an order-d homogeneous polynomial in p.  This module owns allocation
 validation, the determinant objective and its subset-expansion oracle,
-single-coordinate lift profiles, and relative efficiency.
+single-coordinate lift profiles, and relative efficiency.  The
+optimizers and the certificate share one kernel, M(p)^-1 and the
+leverages delta_i = w_i x_i' M(p)^-1 x_i; the determinant forms stay as
+the independent oracles the tests check them against.
 """
 
 from __future__ import annotations
@@ -124,6 +127,29 @@ def objective(X, w, p) -> float:
     M = X.T @ (X * (p * w)[:, None])
     det = float(np.linalg.det(M))
     return det if det > 0.0 else 0.0
+
+
+def information_inverse(X, w, p) -> np.ndarray:
+    """M(p)^-1 for M(p) = X' diag(p*w) X via Cholesky, at any mass scale;
+    raises SingularDesign if M(p) is not numerically positive definite."""
+    M = X.T @ (X * (p * w)[:, None])
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError:
+        raise SingularDesign("information matrix is not positive definite") from None
+    return L_inv.T @ L_inv
+
+
+def leverages(X, w, M_inv) -> np.ndarray:
+    """delta_i = w_i x_i' M^-1 x_i for every row of X."""
+    return w * np.einsum("ij,jk,ik->i", X, M_inv, X)
+
+
+def lift_coefficients(p, delta, d):
+    """Lift-profile coefficients of f_i(z) / f(p) (matrix determinant lemma):
+    a = delta/(1-p_i)^(d-1), b = (1 - p_i delta)/(1-p_i)^d clamped at 0."""
+    one = 1.0 - p
+    return delta / one ** (d - 1), np.maximum(1.0 - p * delta, 0.0) / one**d
 
 
 def objective_expansion(X, w, p) -> float:

@@ -94,43 +94,54 @@ class GlmModel:
                 raise NonFiniteInput("normal-identity requires variance > 0")
 
 
-def _nu_logit(eta):
-    # 1/(2 + e^eta + e^-eta) with the large exponential factored out
-    t = math.exp(-abs(eta))
-    return t / (1.0 + t) ** 2
-
-
-def _nu_probit(eta):
-    # phi^2 / (Phi * (1-Phi)) evaluated fully in log space; log_ndtr is
-    # accurate in both tails
-    return math.exp(-eta * eta - _LOG_2PI - log_ndtr(eta) - log_ndtr(-eta))
-
-
-def _nu_cloglog(eta):
-    if eta > 709.0:
-        return 0.0  # u = e^eta overflows a double and nu ~ e^-u underflows
-    u = math.exp(eta)
-    if u == 0.0:
-        return 0.0
-    if u >= 30.0:
-        # expm1(u)*log(1-e^-u)^2 = e^-u * (1 + O(e^-u))
-        return math.exp(-u) if u < 745.0 else 0.0
-    if u >= 1.0:
-        log_mu = math.log1p(-math.exp(-u))
-    else:
-        log_mu = math.log(-math.expm1(-u))
-    return math.expm1(u) * log_mu * log_mu
-
-
-def _nu_loglog(eta):
-    if eta > 709.0:
-        return 0.0  # u = e^eta overflows a double and nu ~ u^2 e^-u underflows
-    u = math.exp(eta)
-    if u == 0.0:
-        return 0.0
-    if u >= 700.0:
-        return math.exp(2.0 * eta - u) if 2.0 * eta - u > -745.0 else 0.0
-    return u * u / math.expm1(u)
+def nu_array(family_link: str, eta, shape=None, variance=None) -> np.ndarray:
+    """Vectorized, tail-safe nu(eta): the one weight table behind
+    ``compute_weights``, ``nu_eval`` and Monte Carlo expected weights.
+    Weights below the smallest double come back as exact zeros."""
+    eta = np.asarray(eta, dtype=float)
+    if family_link == "binary-logit":
+        # 1/(2 + e^eta + e^-eta) with the large exponential factored out
+        t = np.exp(-np.abs(eta))
+        return t / (1.0 + t) ** 2
+    if family_link == "binary-probit":
+        # phi^2 / (Phi * (1-Phi)) evaluated fully in log space; log_ndtr is
+        # accurate in both tails
+        with np.errstate(under="ignore"):
+            return np.exp(-eta * eta - _LOG_2PI - log_ndtr(eta) - log_ndtr(-eta))
+    if family_link == "binary-cloglog":
+        with np.errstate(under="ignore", over="ignore"):
+            u = np.exp(eta)
+            out = np.zeros_like(u)
+            # expm1(u)*log(1-e^-u)^2 = e^-u * (1 + O(e^-u)), zero once u >= 745
+            hi = u >= 30.0
+            out[hi] = np.exp(-u[hi])
+            mid = (u >= 1.0) & ~hi
+            out[mid] = np.expm1(u[mid]) * np.log1p(-np.exp(-u[mid])) ** 2
+            lo = (u > 0.0) & (u < 1.0)
+            out[lo] = np.expm1(u[lo]) * np.log(-np.expm1(-u[lo])) ** 2
+        return out
+    if family_link == "binary-loglog":
+        with np.errstate(under="ignore", over="ignore"):
+            u = np.exp(eta)
+            out = np.zeros_like(u)
+            # u^2/expm1(u) = exp(2 eta - u), which underflows before u overflows
+            big = u >= 700.0
+            out[big] = np.exp(2.0 * eta[big] - u[big])
+            rest = (u > 0.0) & ~big
+            out[rest] = u[rest] * u[rest] / np.expm1(u[rest])
+        return out
+    if family_link == "poisson-log":
+        return np.exp(eta)
+    if family_link == "gamma-inverse":
+        if shape is None or not (shape > 0):
+            raise ConfigError("gamma-inverse weights need shape k > 0")
+        with np.errstate(divide="ignore"):
+            return shape / (eta * eta)
+    if family_link == "normal-identity":
+        if variance is None or not (variance > 0):
+            raise ConfigError("normal-identity weights need variance > 0")
+        return np.full_like(eta, 1.0 / variance)
+    raise ConfigError(f"unknown family_link {family_link!r}")
 
 
 def nu_eval(model: GlmModel, eta: float) -> float:
@@ -146,23 +157,9 @@ def nu_eval(model: GlmModel, eta: float) -> float:
     eta = float(eta)
     if not math.isfinite(eta):
         raise NonFiniteInput(f"eta must be finite, got {eta}")
-    fam = model.family_link
-    if fam == "binary-logit":
-        return _nu_logit(eta)
-    if fam == "binary-probit":
-        return _nu_probit(eta)
-    if fam == "binary-cloglog":
-        return _nu_cloglog(eta)
-    if fam == "binary-loglog":
-        return _nu_loglog(eta)
-    if fam == "poisson-log":
-        return math.exp(eta)
-    if fam == "gamma-inverse":
-        if eta == 0.0:
-            raise GammaZeroEta("gamma-inverse weight undefined at eta = 0")
-        return model.shape / (eta * eta)
-    # normal-identity
-    return 1.0 / model.variance
+    if model.family_link == "gamma-inverse" and eta == 0.0:
+        raise GammaZeroEta("gamma-inverse weight undefined at eta = 0")
+    return float(nu_array(model.family_link, eta, model.shape, model.variance))
 
 
 def compute_weights(X, model: GlmModel) -> np.ndarray:
@@ -190,27 +187,25 @@ def compute_weights(X, model: GlmModel) -> np.ndarray:
     eta = X @ model.beta
 
     if model.family_link == "gamma-inverse":
-        for i, e in enumerate(eta):
-            if e == 0.0:
-                raise NonPositiveWeight(
-                    f"row {i}: eta = 0 gives an undefined gamma mean", index=i
-                )
-        lead = math.copysign(1.0, eta[0])
-        for i, e in enumerate(eta):
-            if math.copysign(1.0, e) != lead:
-                raise NonPositiveWeight(
-                    f"row {i}: eta = {e:.6g} flips sign against the other rows; "
-                    "gamma-inverse means must keep one sign",
-                    index=i,
-                )
-
-    w = np.empty(len(eta))
-    for i, e in enumerate(eta):
-        w[i] = nu_eval(model, float(e))
-        if not math.isfinite(w[i]) or w[i] < WEIGHT_FLOOR:
+        if np.any(eta == 0.0):
+            i = int(np.argmax(eta == 0.0))
+            raise NonPositiveWeight(f"row {i}: eta = 0 gives an undefined gamma mean", index=i)
+        flipped = np.signbit(eta) != np.signbit(eta[0])
+        if flipped.any():
+            i = int(np.argmax(flipped))
             raise NonPositiveWeight(
-                f"row {i}: weight {w[i]:.3g} at eta = {float(e):.6g} is below "
-                f"the usable floor {WEIGHT_FLOOR:g}",
+                f"row {i}: eta = {eta[i]:.6g} flips sign against the other rows; "
+                "gamma-inverse means must keep one sign",
                 index=i,
             )
+
+    w = nu_array(model.family_link, eta, model.shape, model.variance)
+    unusable = ~(np.isfinite(w) & (w >= WEIGHT_FLOOR))
+    if unusable.any():
+        i = int(np.argmax(unusable))
+        raise NonPositiveWeight(
+            f"row {i}: weight {w[i]:.3g} at eta = {eta[i]:.6g} is below "
+            f"the usable floor {WEIGHT_FLOOR:g}",
+            index=i,
+        )
     return w
