@@ -8,7 +8,8 @@ coordinate i either
 
 where f_i(z) is the objective along the lift of coordinate i.  A
 saturated design (exactly d support points at mass 1/d each) admits a
-cheaper test on d x d determinants, implemented by ``check_saturated``.
+cheaper test, one inequality per excluded row evaluated with a single
+d x d solve, implemented by ``check_saturated``.
 
 ``verify_optimal`` evaluates these inequalities from the leverages
 delta_i = w_i x_i' M(p)^-1 x_i, where they read delta_i <= d on zero-mass
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
-from .objective import (MASS_ATOL, allocation, design_matrix, information_inverse,
-                        leverages, lift_coefficients, objective)
+from .objective import (MASS_ATOL, allocation, design_problem, information_inverse,
+                        leverages, lift_coefficients, objective, spans)
 
 DEFAULT_TOL = 1e-7
 
@@ -84,17 +85,14 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     Raises
     ------
     SingularDesign
-        If f(p) = 0.
+        If the rows carrying mass under p do not span R^d.
     """
-    X = design_matrix(X)
+    X, w = design_problem(X, w)
     m, d = X.shape
-    w = np.asarray(w, dtype=float)
-    if len(w) != m:
-        raise DimensionMismatch(f"{len(w)} weights for {m} design rows")
     p = allocation(p, m)
+    if not spans(X, p):
+        raise SingularDesign("cannot certify a design with a singular information matrix")
     f = objective(X, w, p)
-    if f <= 0.0:
-        raise SingularDesign("cannot certify a design with f(p) = 0")
 
     delta = leverages(X, w, information_inverse(X, w, p))
     zero, over, at_zero, at_half, passed = _conditions(p, delta, d, tol)
@@ -136,10 +134,6 @@ def certified(p, delta, d, tol: float = DEFAULT_TOL) -> bool:
     return bool(_conditions(p, delta, d, tol)[-1].all())
 
 
-def _subset_det(X, rows) -> float:
-    return float(np.linalg.det(X[list(rows)]))
-
-
 def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
     """Certify the saturated design with mass 1/d on the given support.
 
@@ -149,18 +143,18 @@ def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
         sum over j in I of det(X[{i} u I \\ {j}])^2 / w_j
             <= det(X[I])^2 / w_i.
 
+    By Cramer's rule det(X[{i} u I \\ {j}]) = det(X[I]) c_j with
+    c = X[I]^-T x_i, so one d x d solve gives every left-hand side.
     Returns the verdict plus per-row margins.
 
     Raises
     ------
     SingularSupport
-        If det(X[I]) = 0 (such a saturated design cannot be optimal).
+        If the rows of X[I] do not span R^d (such a saturated design
+        cannot be optimal).
     """
-    X = design_matrix(X)
+    X, w = design_problem(X, w)
     m, d = X.shape
-    w = np.asarray(w, dtype=float)
-    if len(w) != m:
-        raise DimensionMismatch(f"{len(w)} weights for {m} design rows")
     support = sorted(int(i) for i in support)
     if len(set(support)) != d:
         raise DimensionMismatch(
@@ -168,29 +162,18 @@ def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
         )
     if any(i < 0 or i >= m for i in support):
         raise DimensionMismatch(f"support index outside 0..{m - 1}: {support}")
-
-    det_I = _subset_det(X, support)
-    # Hadamard-scaled singularity threshold: an exactly dependent subset
-    # shows up as a determinant at roundoff level relative to row norms.
-    hadamard = float(np.prod(np.linalg.norm(X[support], axis=1)))
-    if abs(det_I) <= 1e-12 * max(hadamard, 1.0):
+    if not spans(X, np.bincount(support, minlength=m)):
         raise SingularSupport(
             f"support {support} has a singular design submatrix"
         )
 
+    rest = [i for i in range(m) if i not in support]
+    X_I = X[support]
+    det2 = float(np.linalg.det(X_I)) ** 2
+    C = np.linalg.solve(X_I.T, X[rest].T)
+    lhs = det2 * (C * C / w[support, None]).sum(axis=0)
     details = []
-    verdict = True
-    for i in range(m):
-        if i in support:
-            continue
-        lhs = 0.0
-        for pos, j in enumerate(support):
-            rows = support[:pos] + [i] + support[pos + 1:]
-            dj = _subset_det(X, rows)
-            lhs += dj * dj / w[j]
-        rhs = det_I * det_I / w[i]
-        margin = rhs - lhs
-        ok = lhs <= rhs
-        verdict = verdict and ok
-        details.append(SaturatedPoint(i, lhs, rhs, margin, ok))
-    return verdict, tuple(details)
+    for i, lhs_i in zip(rest, lhs.tolist()):
+        rhs = det2 / float(w[i])
+        details.append(SaturatedPoint(i, lhs_i, rhs, rhs - lhs_i, lhs_i <= rhs))
+    return all(pc.passed for pc in details), tuple(details)

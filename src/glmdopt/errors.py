@@ -14,7 +14,7 @@ class NonFiniteInput(DesignError):
 
 
 class SingularDesign(DesignError):
-    """The information matrix is singular (objective value zero)."""
+    """The information matrix is singular: the rows carrying mass do not span R^d."""
 
 
 class SingularSupport(DesignError):

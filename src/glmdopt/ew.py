@@ -157,7 +157,4 @@ def expected_weights(
 def ew_optimize(X, ew, p0=None, opts: LiftOneOptions | None = None) -> LiftOneResult:
     """Lift-one on the surrogate problem |X' E(W) X|; same contract as
     ``lift_one_optimize`` with the expected weights in place of w."""
-    ew = np.asarray(ew, dtype=float)
-    if not np.all(np.isfinite(ew)):
-        raise NonFiniteInput("expected weights must be finite")
     return lift_one_optimize(X, ew, p0=p0, opts=opts)

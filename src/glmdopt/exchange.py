@@ -18,14 +18,15 @@ keeps the best allocation found.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DesignError, DimensionMismatch, EmptyPair, SingularDesign
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import (allocation, design_matrix, information_inverse,
-                        integer_allocation, objective)
+from .objective import (allocation, design_problem, information_inverse,
+                        integer_allocation, log_objective, objective, spans)
 
 _ACCEPT = 1.0 + 1e-12
 
@@ -129,28 +130,26 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     Raises
     ------
     SingularDesign
-        If f(n0) = 0.
+        If the rows holding units under n0 do not span R^d.
     DesignError
         If a pass ever changes the total (an internal invariant).
     """
-    X = design_matrix(X)
-    m, d = X.shape
-    w = np.asarray(w, dtype=float)
-    if len(w) != m:
-        raise DimensionMismatch(f"{len(w)} weights for {m} design rows")
+    X, w = design_problem(X, w)
+    m = X.shape[0]
     n = integer_allocation(n0)
     if len(n) != m:
         raise DimensionMismatch(f"allocation of length {len(n)} for {m} rows")
     total = int(n.sum())
 
-    if objective(X, w, n) <= 0.0:
+    if not spans(X, n):
         raise SingularDesign("starting exact design has a singular information matrix")
 
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(m), 2))
+    # G stays current: it is refreshed after every accepted move
+    G = _pair_leverages(X, w, n)
     for _ in range(10_000):
         changed = False
-        G = _pair_leverages(X, w, n)
         for k in rng.permutation(len(pairs)):
             i, j = pairs[k]
             s = int(n[i] + n[j])
@@ -212,39 +211,24 @@ def round_allocation(p, total: int) -> np.ndarray:
     return base
 
 
-def _repair_rank(X, w, n):
-    """Move single units until the support spans rank d (fallback path)."""
+def _exact_start(X, p, total):
+    """Largest-remainder rounding of p to total units.  If the rounded
+    support does not span R^d, seat one unit on each of d spanning rows,
+    taken greedily in order of decreasing p, and round the other
+    total - d units."""
+    n = round_allocation(p, total)
+    if spans(X, n):
+        return n
     m, d = X.shape
-    n = n.copy()
-    for _ in range(d + 1):
-        if objective(X, w, n) > 0.0:
-            return n
-        sup = [i for i in range(m) if n[i] > 0]
-        rank = np.linalg.matrix_rank(X[sup])
-        if rank >= d:
-            return n
-        adder = next(
-            (r for r in range(m)
-             if n[r] == 0 and np.linalg.matrix_rank(X[sup + [r]]) > rank),
-            None,
-        )
-        if adder is None:
-            break
-        donors = [i for i in sup if n[i] >= 2]
-        if donors:
-            donor = max(donors, key=lambda i: (n[i], -i))
-        else:
-            donor = next(
-                (i for i in sup
-                 if np.linalg.matrix_rank(X[[j for j in sup if j != i]]) == rank),
-                None,
-            )
-            if donor is None:
+    rows = []
+    for i in np.argsort(-p, kind="stable").tolist():
+        if np.linalg.matrix_rank(X[rows + [i]]) > len(rows):
+            rows.append(i)
+            if len(rows) == d:
                 break
-        n[donor] -= 1
-        n[adder] += 1
-    if objective(X, w, n) <= 0.0:
-        raise SingularDesign("could not seed a full-rank exact design")
+    n = np.bincount(rows, minlength=m)
+    if total > d:
+        n += round_allocation(p, total - d)
     return n
 
 
@@ -252,23 +236,22 @@ def optimize_exact(X, w, total: int, seed=0, n_starts: int = 5) -> np.ndarray:
     """Approximate-then-exact pipeline with multi-start exchange.
 
     Runs lift-one, rounds its optimum to ``total`` units by largest
-    remainder (repairing rank if the rounding dropped essential rows),
-    then runs the exchange from that start with ``n_starts`` different
-    pair orders and returns the best allocation found.
+    remainder (seating one unit on each of d spanning rows first if the
+    rounding dropped essential rows), then runs the exchange from that
+    start with ``n_starts`` different pair orders and returns the best
+    allocation found, compared by log f.
     """
-    X = design_matrix(X)
-    m, d = X.shape
+    X, w = design_problem(X, w)
+    d = X.shape[1]
     if total < d:
         raise DimensionMismatch(f"total {total} cannot support {d} parameters")
     approx = lift_one_optimize(X, w, opts=LiftOneOptions(seed=seed))
-    n0 = round_allocation(approx.p_opt, total)
-    if objective(X, w, n0) <= 0.0:
-        n0 = _repair_rank(X, w, round_allocation(np.full(m, 1.0 / m), total))
+    n0 = _exact_start(X, approx.p_opt, total)
 
-    best_n, best_f = None, -1.0
+    best_n, best_lf = None, -math.inf
     for child in np.random.SeedSequence(seed).spawn(n_starts):
         n = exchange_optimize(X, w, n0, seed=child)
-        fn = objective(X, w, n)
-        if fn > best_f * _ACCEPT:
-            best_n, best_f = n, fn
+        lf = log_objective(X, w, n)
+        if lf > best_lf + math.log(_ACCEPT):
+            best_n, best_lf = n, lf
     return best_n

@@ -25,8 +25,8 @@ import numpy as np
 
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch, SingularDesign
-from .objective import (LiftProfile, allocation, design_matrix, information_inverse,
-                        leverages, lift_allocation, lift_coefficients, objective)
+from .objective import (LiftProfile, allocation, design_problem, information_inverse,
+                        leverages, lift_allocation, lift_coefficients, objective, spans)
 
 _POLISH_CAP = 2000
 
@@ -115,7 +115,7 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     X : array_like
         m x d design matrix of rank d.
     w : array_like
-        Strictly positive weight vector of length m.
+        Finite, strictly positive weight vector of length m.
     p0 : array_like, optional
         Starting allocation; defaults to uniform, which has f > 0
         whenever X has rank d.
@@ -124,17 +124,14 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     Raises
     ------
     SingularDesign
-        If f(p0) = 0.
+        If the rows carrying mass under p0 do not span R^d.
     """
-    X = design_matrix(X)
+    X, w = design_problem(X, w)
     m, d = X.shape
-    w = np.asarray(w, dtype=float)
-    if len(w) != m:
-        raise DimensionMismatch(f"{len(w)} weights for {m} design rows")
     opts = opts or LiftOneOptions()
     p = np.full(m, 1.0 / m) if p0 is None else allocation(p0, m)
 
-    if objective(X, w, p) <= 0.0:
+    if not spans(X, p):
         raise SingularDesign("starting allocation has a singular information matrix")
 
     rng = np.random.default_rng(opts.seed)

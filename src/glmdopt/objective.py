@@ -4,12 +4,14 @@ The objective for an approximate design p on m candidate points is
 
     f(p) = det(X' diag(p_1 w_1, ..., p_m w_m) X),
 
-an order-d homogeneous polynomial in p.  This module owns allocation
-validation, the determinant objective and its subset-expansion oracle,
-single-coordinate lift profiles, and relative efficiency.  The
-optimizers and the certificate share one kernel, M(p)^-1 and the
-leverages delta_i = w_i x_i' M(p)^-1 x_i; the determinant forms stay as
-the independent oracles the tests check them against.
+an order-d homogeneous polynomial in p.  This module owns input
+validation, the singularity test, the determinant objective and its
+subset-expansion oracle, single-coordinate lift profiles, and relative
+efficiency.  The optimizers and the certificate share one kernel, the
+Cholesky factor of M(p), which gives M(p)^-1, the leverages
+delta_i = w_i x_i' M(p)^-1 x_i and log f(p) at any weight scale; the
+determinant forms stay as the independent oracles the tests check them
+against.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonFiniteInput,
+    NonPositiveWeight,
     SingularDesign,
     TooManySubsets,
 )
@@ -101,15 +104,33 @@ def integer_allocation(n, total: int | None = None) -> np.ndarray:
     return n
 
 
-def _check_dims(X, w, p):
-    if X.shape[0] != len(w):
-        raise DimensionMismatch(
-            f"{len(w)} weights for {X.shape[0]} design rows"
-        )
-    if X.shape[0] != len(p):
-        raise DimensionMismatch(
-            f"allocation of length {len(p)} for {X.shape[0]} design rows"
-        )
+def _check_dims(X, w, p=None):
+    m = X.shape[0]
+    if w.shape != (m,):
+        raise DimensionMismatch(f"weights of shape {w.shape} for {m} design rows")
+    if p is not None and len(p) != m:
+        raise DimensionMismatch(f"allocation of length {len(p)} for {m} design rows")
+
+
+def design_problem(X, w) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a design matrix and its weights: one finite, strictly
+    positive weight per row.  Returns (X, w) as float arrays."""
+    X = design_matrix(X)
+    w = np.asarray(w, dtype=float)
+    _check_dims(X, w)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteInput("weights contain non-finite entries")
+    bad = np.flatnonzero(w <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise NonPositiveWeight(f"weight for row {i} is not positive ({w[i]!r})", index=i)
+    return X, w
+
+
+def spans(X, p) -> bool:
+    """True when the rows carrying mass under p span R^d.  With positive
+    weights this is exactly when M(p) is nonsingular, at any weight scale."""
+    return bool(np.linalg.matrix_rank(X[np.asarray(p) > 0]) == X.shape[1])
 
 
 def objective(X, w, p) -> float:
@@ -129,15 +150,25 @@ def objective(X, w, p) -> float:
     return det if det > 0.0 else 0.0
 
 
-def information_inverse(X, w, p) -> np.ndarray:
-    """M(p)^-1 for M(p) = X' diag(p*w) X via Cholesky, at any mass scale;
-    raises SingularDesign if M(p) is not numerically positive definite."""
+def _cholesky(X, w, p) -> np.ndarray:
+    """Cholesky factor L of M(p) = X' diag(p*w) X; raises SingularDesign if
+    M(p) is not numerically positive definite."""
     M = X.T @ (X * (p * w)[:, None])
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(M))
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise SingularDesign("information matrix is not positive definite") from None
+
+
+def information_inverse(X, w, p) -> np.ndarray:
+    """M(p)^-1 via the Cholesky factor, at any mass scale."""
+    L_inv = np.linalg.inv(_cholesky(X, w, p))
     return L_inv.T @ L_inv
+
+
+def log_objective(X, w, p) -> float:
+    """log f(p) = 2 sum log diag(L), finite wherever M(p) is positive definite."""
+    return 2.0 * float(np.log(np.diag(_cholesky(X, w, p))).sum())
 
 
 def leverages(X, w, M_inv) -> np.ndarray:
@@ -250,13 +281,15 @@ def lift_profile(X, w, p, i: int) -> LiftProfile:
 
 
 def relative_efficiency(X, w, p_test, p_ref) -> float:
-    """(f(p_test) / f(p_ref))^(1/d), the per-parameter efficiency ratio."""
-    X = np.asarray(X, dtype=float)
-    w = np.asarray(w, dtype=float)
-    p_test = allocation(p_test, X.shape[0])
-    p_ref = allocation(p_ref, X.shape[0])
-    f_ref = objective(X, w, p_ref)
-    if f_ref <= 0.0:
+    """(f(p_test) / f(p_ref))^(1/d), the per-parameter efficiency ratio,
+    as exp((log f(p_test) - log f(p_ref)) / d) at any weight scale; 0 when
+    p_test is singular, SingularDesign when p_ref is."""
+    X, w = design_problem(X, w)
+    m, d = X.shape
+    p_test = allocation(p_test, m)
+    p_ref = allocation(p_ref, m)
+    if not spans(X, p_ref):
         raise SingularDesign("reference design is singular")
-    f_test = objective(X, w, p_test)
-    return (f_test / f_ref) ** (1.0 / X.shape[1])
+    if not spans(X, p_test):
+        return 0.0
+    return math.exp((log_objective(X, w, p_test) - log_objective(X, w, p_ref)) / d)
