@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -259,9 +260,21 @@ def _load_allocation(path: str, m: int) -> np.ndarray:
     return v / total
 
 
+def _strict(value):
+    """JSON has no inf or NaN: a non-finite float (an f beyond the double
+    range) is reported as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(report: dict, args, lines=None):
     if args.out == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
     else:
         for line in lines or []:
             print(line)

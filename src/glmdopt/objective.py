@@ -140,13 +140,16 @@ def objective(X, w, p) -> float:
     homogeneous of order d, so callers comparing values on the simplex
     should pass proper allocations.  The information matrix is positive
     semidefinite, so negative determinants (pure roundoff) clamp to 0.
+    A determinant beyond the double range reads inf without a warning;
+    ``log_objective`` gives log f at any scale.
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_dims(X, w, p)
     M = X.T @ (X * (p * w)[:, None])
-    det = float(np.linalg.det(M))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(M))
     return det if det > 0.0 else 0.0
 
 
