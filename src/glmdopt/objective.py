@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -59,9 +61,19 @@ def design_matrix(X) -> np.ndarray:
     if len(np.unique(X, axis=0)) < m:
         warnings.warn(
             "design matrix has duplicate rows; they will share mass",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return X
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that names the first frame outside this package, for
+    a warning issued by the function that calls this one."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def allocation(p, m: int | None = None) -> np.ndarray:
