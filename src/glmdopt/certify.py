@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
 from .objective import (MASS_ATOL, allocation, design_problem, information_inverse,
-                        leverages, lift_coefficients, objective, spans)
+                        leverages, lift_coefficients, objective, require_spans, spans)
 
 DEFAULT_TOL = 1e-7
 
@@ -90,8 +90,7 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     X, w = design_problem(X, w)
     m, d = X.shape
     p = allocation(p, m)
-    if not spans(X, p):
-        raise SingularDesign("cannot certify a design with a singular information matrix")
+    require_spans(X, p, "cannot certify a design with a singular information matrix")
     f = objective(X, w, p)
 
     delta = leverages(X, w, information_inverse(X, w, p))
@@ -106,6 +105,9 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
         elif over[i]:
             pc = PointCheck(i, "positive-mass", pi, 1.0 / d, False,
                             "mass exceeds 1/d, which rules out optimality")
+        elif pi == 1.0:  # d = 1 with all mass here: f_i(0) and its bound are 0/0
+            pc = PointCheck(i, "positive-mass", float(delta[i]), float(d), ok,
+                            "all mass on one point: leverage checked against d")
         else:
             rhs = (1.0 - pi * d) / (1.0 - pi) ** d * f
             pc = PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok)
@@ -117,14 +119,14 @@ def _conditions(p, delta, d, tol):
     """Zero-mass and over-1/d masks, f_i(0)/f, f_i(1/2)/f and verdicts.
 
     The equality condition is decided with its common terms cancelled:
-    p_i |delta_i - d| / (1-p_i)^d <= tol.
+    p_i |delta_i - d| / (1-p_i)^d <= tol, or |delta_i - d| <= tol at p_i = 1.
     """
     zero = p <= MASS_ATOL
     over = ~zero & (p > 1.0 / d + tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         a, at_zero = lift_coefficients(p, delta, d)
         at_half = (a + at_zero) / 2.0**d
-        gap = p * np.abs(delta - d) / (1.0 - p) ** d
+        gap = np.where(p < 1.0, p * np.abs(delta - d) / (1.0 - p) ** d, np.abs(delta - d))
     passed = np.where(zero, at_half <= (d + 1.0) / 2.0**d + tol, ~over & (gap <= tol))
     return zero, over, at_zero, at_half, passed
 

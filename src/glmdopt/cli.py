@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -484,18 +485,17 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, UnsupportedCombination) as exc:
+    except (ConfigError, UnsupportedCombination, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DesignError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entry():
+    # a warning's source location means nothing to a CLI user: print the message alone
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     sys.exit(main())
 
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, DimensionMismatch, EmptyPair, SingularDesign
+from .errors import DesignError, DimensionMismatch, EmptyPair
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import (allocation, design_problem, information_inverse,
-                        integer_allocation, log_objective, objective, spans)
+from .objective import (allocation, design_problem, information_inverse, integer_allocation,
+                        log_objective, objective, require_spans, spans, validated)
 
 _ACCEPT = 1.0 + 1e-12
 
@@ -106,15 +106,8 @@ def maximize_pair(prof: PairProfile, current: int | None = None) -> tuple[int, f
         return s, s * B + D
 
     lo = int(np.floor(delta))
-    cands = [z for z in (lo, lo + 1) if 0 <= z <= s]
-    best = None
-    for z in cands:
-        dist = abs(delta - z)
-        churn = abs(z - current) if current is not None else z
-        key = (dist, churn, z)
-        if best is None or key < best[0]:
-            best = (key, z)
-    z = best[1]
+    z = min((z for z in (lo, lo + 1) if z <= s),
+            key=lambda z: (abs(delta - z), z if current is None else abs(z - current), z))
     return z, s * C + D + (s * A + B - C) * z - A * z * z
 
 
@@ -141,8 +134,7 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
         raise DimensionMismatch(f"allocation of length {len(n)} for {m} rows")
     total = int(n.sum())
 
-    if not spans(X, n):
-        raise SingularDesign("starting exact design has a singular information matrix")
+    require_spans(X, n, "starting exact design has a singular information matrix")
 
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(m), 2))
@@ -242,15 +234,16 @@ def optimize_exact(X, w, total: int, seed=0, n_starts: int = 5) -> np.ndarray:
     allocation found, compared by log f.
     """
     X, w = design_problem(X, w)
-    d = X.shape[1]
+    m, d = X.shape
     if total < d:
         raise DimensionMismatch(f"total {total} cannot support {d} parameters")
-    approx = lift_one_optimize(X, w, opts=LiftOneOptions(seed=seed))
+    require_spans(X, np.ones(m), "design matrix has rank below its column count")
+    approx = validated(lift_one_optimize, X, w, opts=LiftOneOptions(seed=seed))
     n0 = _exact_start(X, approx.p_opt, total)
 
     best_n, best_lf = None, -math.inf
     for child in np.random.SeedSequence(seed).spawn(n_starts):
-        n = exchange_optimize(X, w, n0, seed=child)
+        n = validated(exchange_optimize, X, w, n0, seed=child)
         lf = log_objective(X, w, n)
         if lf > best_lf + math.log(_ACCEPT):
             best_n, best_lf = n, lf

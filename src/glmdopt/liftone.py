@@ -7,14 +7,15 @@ coordinate to the closed-form maximum of its profile polynomial
 
 rescaling the remaining mass proportionally.  a and b come from the
 leverage of coordinate i, so the ascent works on ratios f_i(z)/f free of
-the weights' scale; M(p)^-1 is refreshed each round and carried through
-accepted lifts by Sherman-Morrison updates.  Every ``safeguard_period``-th
-round applies the single best coordinate move over all m instead of a
-random sweep, so the iteration cannot stall on sweep order.  Once a round
-gains less than ``tol``, polish steps move the coordinate whose profile
-maximum lies farthest from its mass (near the optimum gains fall below
-rounding, displacements do not) until the optimality certificate holds;
-``converged`` is reported only when it does.
+the weights' scale.  The sweep runs on plain floats; M(p)^-1 is refreshed
+each round and carried through accepted lifts by in-place Sherman-Morrison
+updates.  Every ``safeguard_period``-th round applies the single best
+coordinate move over all m, so the iteration cannot stall on sweep order.
+Once a round gains less than ``tol``, polish steps move the coordinate
+whose profile maximum lies farthest from its mass (gains fall below
+rounding near the optimum, displacements do not) until the optimality
+certificate holds, the only case reported as ``converged``.  Safeguard
+and polish take every coordinate's best lift in one array pass.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import OptimalityCertificate, certified, verify_optimal
-from .errors import DimensionMismatch, SingularDesign
-from .objective import (LiftProfile, allocation, design_problem, information_inverse,
-                        leverages, lift_allocation, lift_coefficients, objective, spans)
+from .errors import DimensionMismatch
+from .objective import (allocation, design_problem, information_inverse, leverages,
+                        lift_allocation, lift_coefficients, objective, require_spans,
+                        validated)
 
 _POLISH_CAP = 2000
 
@@ -86,25 +88,29 @@ def maximize_profile(prof) -> tuple[float, float]:
     return 0.0, b
 
 
-def _best_lift(pi, delta, d):
-    """(z*, f_i(z*)/f) for one coordinate with mass pi and leverage delta."""
-    a, b = lift_coefficients(pi, delta, d)
-    return maximize_profile(LiftProfile(a=max(a, 0.0), b=float(b), d=d))
+def _best_lifts(p, delta, d):
+    """``maximize_profile`` for every coordinate: arrays z*, f_i(z*)/f from
+    masses p and leverages delta.  p_i = 1 (only for d = 1) stays: z* = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = lift_coefficients(p, delta, d)
+        z = np.where(a > b * d, (a - b * d) / ((a - b) * d), 0.0)
+        one = 1.0 - z
+        ratio = a * z * one ** (d - 1) + b * one**d
+    full = p == 1.0
+    return np.where(full, 1.0, z), np.where(full, 1.0, ratio)
 
 
-def _all_lifts(X, w, p, d):
-    """Best lift of every coordinate, from a fresh M(p)^-1."""
-    delta = leverages(X, w, information_inverse(X, w, p))
-    return delta, [_best_lift(pi, di, d) for pi, di in zip(p.tolist(), delta.tolist())]
-
-
-def _lifted_inverse(M_inv, v, wi, delta, pi, z):
-    """M^-1 after lifting coordinate i from pi to z, by Sherman-Morrison:
-    the lift maps M to c (M + g w_i x_i x_i') with c = (1-z)/(1-pi),
-    g = z/c - pi; v = M^-1 x_i and delta = w_i x_i' v."""
-    c = (1.0 - z) / (1.0 - pi)
-    g = z / c - pi
-    return (M_inv - (g * wi / (1.0 + g * delta)) * np.outer(v, v)) / c
+def _lift(pi, delta, d):
+    """``_best_lifts`` for one coordinate, on plain floats."""
+    if pi == 1.0:
+        return 1.0, 1.0
+    one = 1.0 - pi
+    a = delta / one ** (d - 1)
+    b = max(1.0 - pi * delta, 0.0) / one**d
+    if a > b * d:
+        z = (a - b * d) / ((a - b) * d)
+        return z, a * z * (1.0 - z) ** (d - 1) + b * (1.0 - z) ** d
+    return 0.0, b
 
 
 def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> LiftOneResult:
@@ -130,57 +136,62 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     m, d = X.shape
     opts = opts or LiftOneOptions()
     p = np.full(m, 1.0 / m) if p0 is None else allocation(p0, m)
-
-    if not spans(X, p):
-        raise SingularDesign("starting allocation has a singular information matrix")
+    require_spans(X, p, "starting allocation has a singular information matrix")
 
     rng = np.random.default_rng(opts.seed)
     accept = 1.0 + opts.tol
-    stationary = False
-    rounds = 0
-    for rnd in range(1, opts.max_rounds + 1):
-        rounds = rnd
-        if rnd % opts.safeguard_period == 0:
-            _, moves = _all_lifts(X, w, p, d)
-            best = max(range(m), key=lambda i: moves[i][1])
-            z, ratio = moves[best]
-            if not ratio > accept:
-                stationary = True
-                break
-            p = lift_allocation(p, best, z)
+    rows, wl, v, vv = list(X), w.tolist(), np.empty(d), np.empty((d, d))
+    for rounds in range(1, opts.max_rounds + 1):
+        if rounds % opts.safeguard_period == 0:
+            z, ratio = _best_lifts(p, leverages(X, w, information_inverse(X, w, p)), d)
+            best = int(np.argmax(ratio))
+            improved = ratio[best] > accept
+            if improved:
+                p = lift_allocation(p, best, z[best])
         else:
             M_inv = information_inverse(X, w, p)
             improved = False
-            for i in rng.permutation(m):
-                v = M_inv @ X[i]
-                delta = w[i] * float(X[i] @ v)
-                z, ratio = _best_lift(float(p[i]), delta, d)
+            for i in rng.permutation(m).tolist():
+                v = np.dot(M_inv, rows[i], out=v)
+                pi, delta = p.item(i), wl[i] * float(rows[i] @ v)
+                z, ratio = _lift(pi, delta, d)
                 if ratio > accept:
-                    M_inv = _lifted_inverse(M_inv, v, w[i], delta, p[i], z)
-                    p = lift_allocation(p, i, z)
+                    c = (1.0 - z) / (1.0 - pi)
+                    p *= c
+                    p[i] = z
+                    p /= p.sum()
+                    p[i] = z
+                    if c > 0.0:  # Sherman-Morrison: M -> c (M + g w_i x_i x_i')
+                        g = z / c - pi
+                        vv = np.multiply.outer(v, v, out=vv)
+                        vv *= g * wl[i] / (1.0 + g * delta)
+                        M_inv -= vv
+                        M_inv /= c
+                    else:  # z = 1, possible only for d = 1: all mass on row i
+                        M_inv = information_inverse(X, w, p)
                     improved = True
-            if not improved:
-                stationary = True
-                break
+        if not improved:
+            break
+    stationary = not improved
 
     polish_steps = 0
     if stationary:
         for _ in range(min(200 * m, _POLISH_CAP)):
-            delta, moves = _all_lifts(X, w, p, d)
+            delta = leverages(X, w, information_inverse(X, w, p))
             if certified(p, delta, d):
                 break
-            best = max(range(m), key=lambda i: abs(moves[i][0] - p[i]))
-            q = lift_allocation(p, best, moves[best][0])
+            z = _best_lifts(p, delta, d)[0]
+            best = int(np.argmax(np.abs(z - p)))
+            q = lift_allocation(p, best, z[best])
             if np.array_equal(q, p):
                 break
             p = q
             polish_steps += 1
 
-    f_opt = objective(X, w, p)
-    certificate = verify_optimal(X, w, p)
+    certificate = validated(verify_optimal, X, w, p)
     return LiftOneResult(
         p_opt=p,
-        f_opt=f_opt,
+        f_opt=objective(X, w, p),
         rounds=rounds,
         converged=stationary and certificate.optimal,
         certificate=certificate,

@@ -16,6 +16,7 @@ against.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import os
@@ -39,6 +40,9 @@ MASS_ATOL = 1e-12
 
 # Guard for the brute-force subset expansion.
 MAX_SUBSETS = 10**6
+
+# True inside ``validated``: X and w were checked by the public caller.
+_VALIDATED = contextvars.ContextVar("glmdopt_validated", default=False)
 
 
 def design_matrix(X) -> np.ndarray:
@@ -124,9 +128,19 @@ def _check_dims(X, w, p=None):
         raise DimensionMismatch(f"allocation of length {len(p)} for {m} design rows")
 
 
+def validated(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on arrays its public caller has validated: inside,
+    ``design_problem`` and ``require_spans`` pass them through unchecked."""
+    context = contextvars.copy_context()
+    context.run(_VALIDATED.set, True)
+    return context.run(fn, *args, **kwargs)
+
+
 def design_problem(X, w) -> tuple[np.ndarray, np.ndarray]:
     """Validate a design matrix and its weights: one finite, strictly
     positive weight per row.  Returns (X, w) as float arrays."""
+    if _VALIDATED.get():
+        return X, w
     X = design_matrix(X)
     w = np.asarray(w, dtype=float)
     _check_dims(X, w)
@@ -143,6 +157,12 @@ def spans(X, p) -> bool:
     """True when the rows carrying mass under p span R^d.  With positive
     weights this is exactly when M(p) is nonsingular, at any weight scale."""
     return bool(np.linalg.matrix_rank(X[np.asarray(p) > 0]) == X.shape[1])
+
+
+def require_spans(X, p, message: str):
+    """Raise SingularDesign(message) unless ``spans(X, p)``."""
+    if not (_VALIDATED.get() or spans(X, p)):
+        raise SingularDesign(message)
 
 
 def objective(X, w, p) -> float:
@@ -303,8 +323,7 @@ def relative_efficiency(X, w, p_test, p_ref) -> float:
     m, d = X.shape
     p_test = allocation(p_test, m)
     p_ref = allocation(p_ref, m)
-    if not spans(X, p_ref):
-        raise SingularDesign("reference design is singular")
+    require_spans(X, p_ref, "reference design is singular")
     if not spans(X, p_test):
         return 0.0
     return math.exp((log_objective(X, w, p_test) - log_objective(X, w, p_ref)) / d)
