@@ -30,7 +30,7 @@ from .objective import (MASS_ATOL, allocation, design_problem, information_inver
 DEFAULT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointCheck:
     """Per-coordinate verdict of the equivalence conditions.
 
@@ -61,7 +61,7 @@ class OptimalityCertificate:
             raise SingularDesign("certificate verdict out of sync with points")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaturatedPoint:
     """One non-support row's inequality check: lhs <= rhs with margin = rhs - lhs."""
 
@@ -94,7 +94,7 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     f = objective(X, w, p)
 
     delta = leverages(X, w, information_inverse(X, w, p))
-    zero, over, at_zero, at_half, passed = _conditions(p, delta, d, tol)
+    zero, over, band, at_zero, at_half, passed = _conditions(p, delta, d, tol)
     bound_zero = (d + 1.0) / 2.0**d * f
     checks = []
     for i in range(m):
@@ -110,16 +110,20 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
                             "all mass on one point: leverage checked against d")
         else:
             rhs = (1.0 - pi * d) / (1.0 - pi) ** d * f
-            pc = PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok)
+            note = "" if band[i] else "leverage exceeds d"
+            pc = PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok, note)
         checks.append(pc)
     return OptimalityCertificate(optimal=bool(passed.all()), per_point=tuple(checks), tolerance=tol)
 
 
 def _conditions(p, delta, d, tol):
-    """Zero-mass and over-1/d masks, f_i(0)/f, f_i(1/2)/f and verdicts.
+    """Zero-mass, over-1/d and leverage-band masks, f_i(0)/f, f_i(1/2)/f
+    and verdicts.
 
     The equality condition is decided with its common terms cancelled:
     p_i |delta_i - d| / (1-p_i)^d <= tol, or |delta_i - d| <= tol at p_i = 1.
+    Since that scales the leverage excess by the mass, a positive-mass
+    point must also meet delta_i <= d + 2^d tol, the zero-mass band.
     """
     zero = p <= MASS_ATOL
     over = ~zero & (p > 1.0 / d + tol)
@@ -127,8 +131,9 @@ def _conditions(p, delta, d, tol):
         a, at_zero = lift_coefficients(p, delta, d)
         at_half = (a + at_zero) / 2.0**d
         gap = np.where(p < 1.0, p * np.abs(delta - d) / (1.0 - p) ** d, np.abs(delta - d))
-    passed = np.where(zero, at_half <= (d + 1.0) / 2.0**d + tol, ~over & (gap <= tol))
-    return zero, over, at_zero, at_half, passed
+    band = delta <= d + 2.0**d * tol
+    passed = np.where(zero, at_half <= (d + 1.0) / 2.0**d + tol, ~over & (gap <= tol) & band)
+    return zero, over, band, at_zero, at_half, passed
 
 
 def certified(p, delta, d, tol: float = DEFAULT_TOL) -> bool:

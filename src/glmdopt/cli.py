@@ -29,7 +29,7 @@ from .errors import ConfigError, DesignError, UnsupportedCombination
 from .ew import PointPrior, UniformPrior, ew_optimize, expected_weights
 from .exchange import optimize_exact
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import design_matrix, objective, relative_efficiency
+from .objective import design_matrix, objective, relative_efficiency, require_spans, validated
 from .weights import FAMILY_LINKS, GlmModel, compute_weights
 
 EXIT_OK = 0
@@ -89,6 +89,18 @@ def _load_matrix(cfg: dict) -> np.ndarray:
         return design_matrix(np.asarray(data, dtype=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad matrix: {exc}")
+
+
+def _spanning(X, p=None) -> np.ndarray:
+    """X once the rows carrying mass under p (every row by default) span
+    R^d.  The library calls below run under ``validated`` on the X that
+    ``_load_matrix`` checked and on weights that ``compute_weights`` or
+    ``expected_weights`` checked, so this rank test is the one check left."""
+    if p is None:
+        require_spans(X, np.ones(len(X)), "design matrix has rank below its column count")
+    else:
+        require_spans(X, p, "allocation has a singular information matrix")
+    return X
 
 
 def _parse_prior(spec) -> tuple:
@@ -211,7 +223,8 @@ def _expected_weights(cfg: dict, X, seed: int, seed_given: bool):
     fam = _family(cfg)
     prior = _parse_prior(cfg["prior"])
     method, samples = _ew_settings(cfg, fam, seed, seed_given)
-    ew = expected_weights(
+    ew = validated(
+        expected_weights,
         X,
         fam,
         prior,
@@ -228,7 +241,7 @@ def _weight_vector(cfg: dict, X, seed: int, seed_given: bool) -> np.ndarray:
     """w from beta if present, else expected weights from the prior."""
     _check_exactly_one(cfg)
     if "beta" in cfg:
-        return compute_weights(X, _model(cfg))
+        return validated(compute_weights, X, _model(cfg))
     return _expected_weights(cfg, X, seed, seed_given)[0]
 
 
@@ -291,7 +304,7 @@ def cmd_weights(cfg: dict, args) -> int:
     seed, seed_given = _resolve_seed(cfg, args)
     if "beta" in cfg:
         model = _model(cfg)
-        w = compute_weights(X, model)
+        w = validated(compute_weights, X, model)
         eta = X @ model.beta
         report = {
             "command": "weights",
@@ -342,9 +355,10 @@ def _optimize_report(command, X, w, res, extra=None):
 def cmd_optimize(cfg: dict, args) -> int:
     X = _load_matrix(cfg)
     _check_exactly_one(cfg)
-    w = compute_weights(X, _model(cfg))
+    w = validated(compute_weights, X, _model(cfg))
     seed, _ = _resolve_seed(cfg, args)
-    res = lift_one_optimize(X, w, opts=_options(cfg, seed))
+    opts = _options(cfg, seed)
+    res = validated(lift_one_optimize, _spanning(X), w, opts=opts)
     report, lines = _optimize_report("optimize", X, w, res)
     _emit(report, args, lines)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGE
@@ -353,7 +367,7 @@ def cmd_optimize(cfg: dict, args) -> int:
 def cmd_exact(cfg: dict, args) -> int:
     X = _load_matrix(cfg)
     _check_exactly_one(cfg)
-    w = compute_weights(X, _model(cfg))
+    w = validated(compute_weights, X, _model(cfg))
     total = cfg.get("total")
     if not (isinstance(total, int) and total >= X.shape[1]):
         raise ConfigError(
@@ -363,7 +377,7 @@ def cmd_exact(cfg: dict, args) -> int:
     if not (isinstance(n_starts, int) and n_starts >= 1):
         raise ConfigError("'n_starts' must be a positive integer")
     seed, _ = _resolve_seed(cfg, args)
-    n = optimize_exact(X, w, total, seed=seed, n_starts=n_starts)
+    n = validated(optimize_exact, _spanning(X), w, total, seed=seed, n_starts=n_starts)
     f = objective(X, w, n)
     report = {
         "command": "exact",
@@ -385,7 +399,7 @@ def cmd_verify(cfg: dict, args) -> int:
     seed, seed_given = _resolve_seed(cfg, args)
     w = _weight_vector(cfg, X, seed, seed_given)
     p = _load_allocation(args.allocation, X.shape[0])
-    cert = verify_optimal(X, w, p)
+    cert = validated(verify_optimal, _spanning(X, p), w, p)
     report = {
         "command": "verify",
         "optimal": cert.optimal,
@@ -409,7 +423,7 @@ def cmd_efficiency(cfg: dict, args) -> int:
     w = _weight_vector(cfg, X, seed, seed_given)
     p_test = _load_allocation(args.test_allocation, X.shape[0])
     p_ref = _load_allocation(args.ref_allocation, X.shape[0])
-    eff = relative_efficiency(X, w, p_test, p_ref)
+    eff = validated(relative_efficiency, _spanning(X, p_ref), w, p_test, p_ref)
     report = {
         "command": "efficiency",
         "efficiency": eff,
@@ -428,7 +442,8 @@ def cmd_ew(cfg: dict, args) -> int:
         raise ConfigError("the 'ew' subcommand needs 'prior' in the config")
     seed, seed_given = _resolve_seed(cfg, args)
     ew, method = _expected_weights(cfg, X, seed, seed_given)
-    res = ew_optimize(X, ew, opts=_options(cfg, seed))
+    opts = _options(cfg, seed)
+    res = validated(ew_optimize, _spanning(X), ew, opts=opts)
     report, lines = _optimize_report(
         "ew", X, ew, res,
         extra={"expected_weights": ew.tolist(), "method": method},

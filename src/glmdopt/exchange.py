@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DesignError, DimensionMismatch, EmptyPair
 from .liftone import LiftOneOptions, lift_one_optimize
 from .objective import (allocation, design_problem, information_inverse, integer_allocation,
-                        log_objective, objective, require_spans, spans, validated)
+                        leverage_matrix, log_objective, objective, require_spans, spans,
+                        validated)
 
 _ACCEPT = 1.0 + 1e-12
 
@@ -138,50 +139,68 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
 
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(m), 2))
+    n = n.tolist()
     # G stays current: it is refreshed after every accepted move
     G = _pair_leverages(X, w, n)
     for _ in range(10_000):
         changed = False
-        for k in rng.permutation(len(pairs)):
+        for k in rng.permutation(len(pairs)).tolist():
             i, j = pairs[k]
-            s = int(n[i] + n[j])
-            if s == 0:
+            ni, nj = n[i], n[j]
+            if ni + nj == 0:
                 continue
-            prof = _scaled_pair_profile(G, n, i, j, s)
-            if prof.A > 0:
-                z, ratio = maximize_pair(prof, current=int(n[i]))
-            else:
-                # affine profile: compare the endpoints, keep ties in place
-                z, ratio = max(((0, s * prof.C + prof.D), (s, s * prof.B + prof.D)),
-                               key=lambda t: t[1])
-            if z != n[i] and ratio > _ACCEPT:
+            z, ratio = _pair_move(G, i, j, ni, nj)
+            if z != ni and ratio > _ACCEPT:
                 n[i] = z
-                n[j] = s - z
+                n[j] = ni + nj - z
                 G = _pair_leverages(X, w, n)
                 changed = True
-        if int(n.sum()) != total:
-            raise DesignError(f"exchange changed the total from {total} to {int(n.sum())}")
+        if sum(n) != total:
+            raise DesignError(f"exchange changed the total from {total} to {sum(n)}")
         if not changed:
             break
-    return n
+    return np.array(n)
 
 
 def _pair_leverages(X, w, n):
     """delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j as nested lists."""
-    H = X @ information_inverse(X, w, n.astype(float)) @ X.T
-    return (H * np.sqrt(np.outer(w, w))).tolist()
+    return leverage_matrix(X, w, information_inverse(X, w, np.array(n, dtype=float))).tolist()
 
 
 def _scaled_pair_profile(G, n, i, j, s) -> PairProfile:
-    """The pair quadratic of f_ij(z) / f(n).  In the new counts (u, v)
-    Fedorov's identity is D + B u + C v + A u v, which along u + v = s is
-    A z(s-z) + B z + C(s-z) + D."""
+    """The pair quadratic of f_ij(z) / f(n)."""
+    return PairProfile(*_pair_coefficients(G, i, j, float(n[i]), float(n[j])), s=s)
+
+
+def _pair_coefficients(G, i, j, ni, nj):
+    """(A, B, C, D) of the pair quadratic of f_ij(z) / f(n).  In the new
+    counts (u, v) Fedorov's identity is D + B u + C v + A u v, which along
+    u + v = s is A z(s-z) + B z + C(s-z) + D."""
     dii, djj, dij2 = G[i][i], G[j][j], G[i][j] ** 2
-    ni, nj = float(n[i]), float(n[j])
     B = max(dii * (1.0 - nj * djj) + nj * dij2, 0.0)
     C = max(djj * (1.0 - ni * dii) + ni * dij2, 0.0)
     D = max((1.0 - ni * dii) * (1.0 - nj * djj) - ni * nj * dij2, 0.0)
-    return PairProfile(A=dii * djj - dij2, B=B, C=C, D=D, s=s)
+    return dii * djj - dij2, B, C, D
+
+
+def _pair_move(G, i, j, ni, nj):
+    """(z, f_ij(z) / f(n)) for the best split of pair (i, j), n_i + n_j > 0:
+    ``maximize_pair`` (current = n_i) on plain floats, with the same
+    arithmetic and tie-break.  An affine profile (A <= 0, proportional
+    rows) compares its endpoints and keeps z = 0 on a tie."""
+    s = ni + nj
+    A, B, C, D = _pair_coefficients(G, i, j, float(ni), float(nj))
+    if not A > 0:
+        return (s, s * B + D) if s * B + D > s * C + D else (0, s * C + D)
+    delta = (s * A + B - C) / (2.0 * A)
+    if delta < 0:
+        return 0, s * C + D
+    if delta > s:
+        return s, s * B + D
+    z = math.floor(delta)
+    if z < s and (abs(delta - (z + 1)), abs(z + 1 - ni)) < (abs(delta - z), abs(z - ni)):
+        z += 1
+    return z, s * C + D + (s * A + B - C) * z - A * z * z
 
 
 def round_allocation(p, total: int) -> np.ndarray:

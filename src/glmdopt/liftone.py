@@ -10,12 +10,15 @@ leverage of coordinate i, so the ascent works on ratios f_i(z)/f free of
 the weights' scale.  The sweep runs on plain floats; M(p)^-1 is refreshed
 each round and carried through accepted lifts by in-place Sherman-Morrison
 updates.  Every ``safeguard_period``-th round applies the single best
-coordinate move over all m, so the iteration cannot stall on sweep order.
-Once a round gains less than ``tol``, polish steps move the coordinate
-whose profile maximum lies farthest from its mass (gains fall below
-rounding near the optimum, displacements do not) until the optimality
-certificate holds, the only case reported as ``converged``.  Safeguard
-and polish take every coordinate's best lift in one array pass.
+coordinate move over all m, so the iteration cannot stall on sweep order;
+it takes every coordinate's best lift in one array pass.
+
+Coordinate ascent slows to a crawl near the optimum and sheds mass from
+points that must leave the support only geometrically.  So once a round
+gains less than ``tol``, an active-set Newton finish (on the support plus
+the vertex direction of Yang, Biedermann and Tang, 2013) takes over until
+the optimality certificate holds, the only case reported as
+``converged``; ``polish_steps`` counts its steps.
 """
 
 from __future__ import annotations
@@ -26,11 +29,18 @@ import numpy as np
 
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch
-from .objective import (allocation, design_problem, information_inverse, leverages,
-                        lift_allocation, lift_coefficients, objective, require_spans,
-                        validated)
+from .objective import (allocation, design_problem, information_inverse, inverse_factor,
+                        leverage_matrix, leverages, lift_allocation, lift_coefficients,
+                        objective, require_spans, validated)
 
-_POLISH_CAP = 2000
+# A point leaves the support before a Newton step when its mass is below
+# this fraction of the mass the step takes from it.
+_NEAR_ZERO = 1e-3
+# Directions of the Newton model with curvature below this fraction of the
+# largest coordinate curvature are flat: the step leaves them alone.
+_FLAT = 1e-8
+# Backtracking halvings before a step counts as lost in rounding.
+_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,7 @@ class LiftOneResult:
     converged is True only when the iteration reached stationarity within
     max_rounds AND the final point passes the optimality certificate; the
     certificate itself is attached for inspection either way.
+    polish_steps counts the Newton steps taken after the sweep.
     """
 
     p_opt: np.ndarray
@@ -111,6 +122,117 @@ def _lift(pi, delta, d):
         z = (a - b * d) / ((a - b) * d)
         return z, a * z * (1.0 - z) ** (d - 1) + b * (1.0 - z) ** d
     return 0.0, b
+
+
+def _newton_finish(X, w, p, d):
+    """Active-set Newton ascent of log f from a stationary sweep.
+
+    On the support S plus the outside point with the largest delta_i > d
+    (the vertex direction), log f has gradient delta_S and Hessian
+    -(G_S o G_S), and ``_directions`` turns the quadratic model under
+    sum_S p = 1 into steps.  The ratio test stops a step where a mass
+    reaches zero, and the step halves until log f strictly rises.  Returns
+    (p, steps) once ``certified`` holds, or when no direction raises log f.
+    """
+    steps = 0
+    while True:
+        L_inv = inverse_factor(X, w, p)
+        M_inv = L_inv.T @ L_inv
+        delta = leverages(X, w, M_inv)
+        if certified(p, delta, d):
+            return p, steps
+        S = np.flatnonzero(p > 0.0)
+        outside = np.where(p > 0.0, -np.inf, delta)
+        j = int(np.argmax(outside))
+        if outside[j] > d:
+            S = np.append(S, j)
+        K = leverage_matrix(X[S], w[S], M_inv) ** 2
+        Y = L_inv @ (X[S].T * np.sqrt(w[S]))
+        for step, reach in _directions(p[S], delta[S], K):
+            q = _ascend(p, S, step, reach, Y)
+            if q is not None:
+                break
+        else:
+            return p, steps
+        p = q
+        steps += 1
+
+
+def _directions(mass, grad, K):
+    """Ascent directions of the quadratic model max grad'u - u'K u/2
+    subject to sum u = 0, in the order the finish tries them, each with
+    the step length it may reach.
+
+    First the Newton step after points whose step is negative and far
+    exceeds their mass (``_NEAR_ZERO``) leave at u_i = -mass_i.  Forcing
+    them out can cost more than it gains, so next the Newton step that
+    drops only massless points (the vertex direction's, when its step is
+    negative); a direction is tried only if log f rises along it to first
+    order.  Last the gradient along the model's flat directions, followed
+    as far as the ratio test allows.
+    """
+    tried = None
+    for near in (_NEAR_ZERO, 0.0):
+        out = np.zeros(mass.size, dtype=bool)
+        while True:
+            step, flat = _model_step(mass, grad, K, out)
+            leave = ~out & (step < 0.0) & (mass <= -near * step)
+            if not leave.any():
+                break
+            out |= leave
+        if not np.array_equal(out, tried) and grad @ step > 0.0:
+            yield step, 1.0
+        tried = out
+    yield flat, np.inf
+
+
+def _model_step(mass, grad, K, out):
+    """(Newton step, flat ascent direction) of the model with the points in
+    ``out`` fixed at u_i = -mass_i.  The other points solve it on their
+    sum-zero subspace, whose directions of curvature at most ``_FLAT``
+    times the largest curvature along a coordinate (K_ii = delta_i^2) are
+    flat: the Newton step leaves them alone, and the flat direction is the
+    gradient within them."""
+    keep = ~out
+    n = int(keep.sum())
+    shift = mass[out].sum() / n  # the kept points take up the dropped mass
+    Kk = K[np.ix_(keep, keep)]
+    rhs = grad[keep] + K[np.ix_(keep, out)] @ mass[out] - shift * Kk.sum(axis=1)
+    P = np.eye(n) - 1.0 / n
+    e, V = np.linalg.eigh(P @ Kk @ P)
+    c = V.T @ (rhs - rhs.mean())
+    curved = e > _FLAT * Kk.diagonal().max()
+    step, flat = -mass.copy(), np.zeros(mass.size)
+    step[keep] = shift + V[:, curved] @ (c[curved] / e[curved])
+    flat[keep] = V[:, ~curved] @ c[~curved]
+    return step, flat
+
+
+def _ascend(p, S, step, reach, Y):
+    """The first q = p + alpha step on S, alpha from min(reach, the
+    ratio-test limit) halving, at which log f rises; None when no alpha
+    above rounding does.  With Y = L^-1 X_S' W_S^1/2 for the Cholesky
+    factor L of M(p), log f(q) - log f(p) is the sum of log(1 + lambda)
+    over the eigenvalues of Y diag(q_S - p_S) Y', free of the rounding of
+    two nearly equal log-determinants."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(step < 0.0, p[S] / -step, np.inf)
+    limit = float(room.min())
+    alpha = min(reach, limit)
+    if not 0.0 < alpha < np.inf:
+        return None
+    for _ in range(_HALVINGS):
+        q = p.copy()
+        q[S] += alpha * step
+        if alpha == limit:  # the ratio test: the blocking masses reach zero
+            q[S[room == limit]] = 0.0
+        q = np.maximum(q, 0.0)
+        q /= q.sum()
+        lam = np.linalg.eigvalsh((Y * (q[S] - p[S])) @ Y.T)
+        if lam[0] > -1.0 and np.log1p(lam).sum() > 0.0:
+            return q
+        alpha /= 2.0
+    return None
 
 
 def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> LiftOneResult:
@@ -176,17 +298,7 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
 
     polish_steps = 0
     if stationary:
-        for _ in range(min(200 * m, _POLISH_CAP)):
-            delta = leverages(X, w, information_inverse(X, w, p))
-            if certified(p, delta, d):
-                break
-            z = _best_lifts(p, delta, d)[0]
-            best = int(np.argmax(np.abs(z - p)))
-            q = lift_allocation(p, best, z[best])
-            if np.array_equal(q, p):
-                break
-            p = q
-            polish_steps += 1
+        p, polish_steps = _newton_finish(X, w, p, d)
 
     certificate = validated(verify_optimal, X, w, p)
     return LiftOneResult(

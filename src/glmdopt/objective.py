@@ -52,6 +52,8 @@ def design_matrix(X) -> np.ndarray:
     (they merely split mass between identical settings) but almost always
     indicate a modelling slip, so they trigger a warning.
     """
+    if _VALIDATED.get():
+        return X
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("design matrix must be two-dimensional")
@@ -62,7 +64,8 @@ def design_matrix(X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("design matrix contains non-finite entries")
-    if len(np.unique(X, axis=0)) < m:
+    rows = X[np.lexsort(X.T)]  # equal rows (-0.0 == 0.0) end up adjacent
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         warnings.warn(
             "design matrix has duplicate rows; they will share mass",
             stacklevel=_caller_stacklevel(),
@@ -130,7 +133,8 @@ def _check_dims(X, w, p=None):
 
 def validated(fn, *args, **kwargs):
     """fn(*args, **kwargs) on arrays its public caller has validated: inside,
-    ``design_problem`` and ``require_spans`` pass them through unchecked."""
+    ``design_matrix``, ``design_problem`` and ``require_spans`` pass them
+    through unchecked."""
     context = contextvars.copy_context()
     context.run(_VALIDATED.set, True)
     return context.run(fn, *args, **kwargs)
@@ -195,9 +199,14 @@ def _cholesky(X, w, p) -> np.ndarray:
         raise SingularDesign("information matrix is not positive definite") from None
 
 
+def inverse_factor(X, w, p) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of M(p), so that M(p)^-1 = L^-T L^-1."""
+    return np.linalg.inv(_cholesky(X, w, p))
+
+
 def information_inverse(X, w, p) -> np.ndarray:
     """M(p)^-1 via the Cholesky factor, at any mass scale."""
-    L_inv = np.linalg.inv(_cholesky(X, w, p))
+    L_inv = inverse_factor(X, w, p)
     return L_inv.T @ L_inv
 
 
@@ -209,6 +218,12 @@ def log_objective(X, w, p) -> float:
 def leverages(X, w, M_inv) -> np.ndarray:
     """delta_i = w_i x_i' M^-1 x_i for every row of X."""
     return w * np.einsum("ij,jk,ik->i", X, M_inv, X)
+
+
+def leverage_matrix(X, w, M_inv) -> np.ndarray:
+    """G = W^1/2 X M^-1 X' W^1/2, G_ij = sqrt(w_i w_j) x_i' M^-1 x_j; its
+    diagonal holds the leverages and -(G o G) is the Hessian of log f."""
+    return (X @ M_inv @ X.T) * np.sqrt(np.outer(w, w))
 
 
 def lift_coefficients(p, delta, d):

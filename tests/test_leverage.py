@@ -107,8 +107,8 @@ def test_poisson_factorial_is_invariant_to_an_underflowing_intercept():
 )
 def test_saturated_optima_converge_for_every_seed(problem):
     # near a saturated optimum the gain of the best lift falls below
-    # rounding long before the certificate holds; the polish must still
-    # get there
+    # rounding long before the certificate holds; the Newton finish
+    # must still get there
     X, _, w = problem()
     for seed in range(50):
         res = g.lift_one_optimize(X, w, opts=g.LiftOneOptions(seed=seed))

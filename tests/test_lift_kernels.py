@@ -1,8 +1,8 @@
 """Lift-one's best-lift kernels against the public closed form.
 
-Safeguard rounds and polish steps take every coordinate's best lift in
-one array pass (``_best_lifts``); the random sweep takes one coordinate
-at a time on plain floats (``_lift``).  Both must give the
+Safeguard rounds take every coordinate's best lift in one array pass
+(``_best_lifts``); the random sweep takes one coordinate at a time on
+plain floats (``_lift``).  Both must give the
 ``maximize_profile`` answer for the profile that ``lift_coefficients``
 builds, on either side of the a > b d switch, where the clamp sets b = 0,
 and for d = 1.
