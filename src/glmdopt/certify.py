@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
 from .objective import (MASS_ATOL, allocation, design_problem, information_inverse,
-                        leverages, lift_coefficients, objective, require_spans, spans)
+                        is_integer, leverages, lift_coefficients, objective, require_spans,
+                        spans)
 
 DEFAULT_TOL = 1e-7
 
@@ -162,6 +163,8 @@ def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
     """
     X, w = design_problem(X, w)
     m, d = X.shape
+    if not all(is_integer(i) for i in support):
+        raise DimensionMismatch(f"support indices must be integers, got {list(support)}")
     support = sorted(int(i) for i in support)
     if len(set(support)) != d:
         raise DimensionMismatch(

@@ -29,7 +29,8 @@ from .errors import ConfigError, DesignError, UnsupportedCombination
 from .ew import PointPrior, UniformPrior, ew_optimize, expected_weights
 from .exchange import optimize_exact
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import design_matrix, objective, relative_efficiency, require_spans, validated
+from .objective import (design_matrix, is_integer, objective, relative_efficiency, require_spans,
+                        validated)
 from .weights import FAMILY_LINKS, GlmModel, compute_weights
 
 EXIT_OK = 0
@@ -37,7 +38,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGE = 4
 
-_OPTION_KEYS = ("max_rounds", "tol", "safeguard_period")
+_OPTION_KEYS = ("max_rounds", "tol")
 _EW_KEYS = ("method", "samples")
 
 
@@ -190,7 +191,7 @@ def _resolve_seed(cfg: dict, args) -> tuple[int, bool]:
         return int(args.seed), True
     if "seed" in cfg:
         seed = cfg["seed"]
-        if not isinstance(seed, int):
+        if not is_integer(seed):
             raise ConfigError("'seed' must be an integer")
         return seed, True
     return 0, False
@@ -209,7 +210,7 @@ def _ew_settings(cfg: dict, fam: str, seed: int, seed_given: bool):
         "method", "closed-form-poisson" if fam == "poisson-log" else "monte-carlo"
     )
     samples = block.get("samples", 100_000)
-    if not (isinstance(samples, int) and samples >= 1):
+    if not (is_integer(samples) and samples >= 1):
         raise ConfigError("'ew.samples' must be a positive integer")
     if method == "monte-carlo" and not seed_given:
         raise ConfigError(
@@ -369,12 +370,12 @@ def cmd_exact(cfg: dict, args) -> int:
     _check_exactly_one(cfg)
     w = validated(compute_weights, X, _model(cfg))
     total = cfg.get("total")
-    if not (isinstance(total, int) and total >= X.shape[1]):
+    if not (is_integer(total) and total >= X.shape[1]):
         raise ConfigError(
             f"exact designs need integer 'total' >= d = {X.shape[1]}"
         )
     n_starts = cfg.get("n_starts", 5)
-    if not (isinstance(n_starts, int) and n_starts >= 1):
+    if not (is_integer(n_starts) and n_starts >= 1):
         raise ConfigError("'n_starts' must be a positive integer")
     seed, _ = _resolve_seed(cfg, args)
     n = validated(optimize_exact, _spanning(X), w, total, seed=seed, n_starts=n_starts)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteInput, NonPositiveWeight, UnsupportedCombination
 from .liftone import LiftOneOptions, LiftOneResult, lift_one_optimize
-from .objective import design_matrix
+from .objective import design_matrix, is_integer
 from .weights import FAMILY_LINKS, WEIGHT_FLOOR, nu_array
 
 _MC_BLOCKS = 32
@@ -135,7 +135,8 @@ def expected_weights(
     UnsupportedCombination
         If the closed form is requested for a non-poisson family.
     ConfigError
-        For bad priors, a missing Monte Carlo seed, or samples < 1.
+        For bad priors, a missing Monte Carlo seed, or a ``samples`` that
+        is not a positive integer.
     """
     X = design_matrix(X)
     m, d = X.shape
@@ -156,8 +157,8 @@ def expected_weights(
     elif method == "monte-carlo":
         if seed is None:
             raise ConfigError("monte-carlo expected weights require an explicit seed")
-        if samples < 1:
-            raise ConfigError("samples must be a positive integer")
+        if not (is_integer(samples) and samples >= 1):
+            raise ConfigError(f"samples must be a positive integer, got {samples!r}")
         from concurrent.futures import ThreadPoolExecutor
 
         children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)

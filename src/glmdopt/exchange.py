@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DesignError, DimensionMismatch, EmptyPair
 from .liftone import LiftOneOptions, lift_one_optimize
 from .objective import (allocation, design_problem, information_inverse, integer_allocation,
-                        leverage_matrix, log_objective, objective, require_spans, spans,
-                        validated)
+                        is_integer, leverage_matrix, log_objective, objective, require_spans,
+                        spans, validated)
 
 _ACCEPT = 1.0 + 1e-12
 
@@ -209,7 +209,7 @@ def round_allocation(p, total: int) -> np.ndarray:
     Floors every entry, then hands the leftover units to the largest
     fractional parts (ties to the lower index).
     """
-    if total < 1:
+    if not (is_integer(total) and total >= 1):
         raise DimensionMismatch("total must be a positive integer")
     p = allocation(p)
     scaled = p * total
@@ -254,8 +254,12 @@ def optimize_exact(X, w, total: int, seed=0, n_starts: int = 5) -> np.ndarray:
     """
     X, w = design_problem(X, w)
     m, d = X.shape
+    if not is_integer(total):
+        raise DimensionMismatch(f"total must be an integer, got {total!r}")
     if total < d:
         raise DimensionMismatch(f"total {total} cannot support {d} parameters")
+    if not (is_integer(n_starts) and n_starts >= 1):
+        raise DimensionMismatch("n_starts must be a positive integer")
     require_spans(X, np.ones(m), "design matrix has rank below its column count")
     approx = validated(lift_one_optimize, X, w, opts=LiftOneOptions(seed=seed))
     n0 = _exact_start(X, approx.p_opt, total)

@@ -1,6 +1,6 @@
 """Lift-one coordinate ascent for approximate D-optimal designs.
 
-One round visits every coordinate in random order; each visit lifts the
+Every round visits every coordinate in random order; each visit lifts the
 coordinate to the closed-form maximum of its profile polynomial
 
     f_i(z) = a z(1-z)^(d-1) + b (1-z)^d,
@@ -9,9 +9,7 @@ rescaling the remaining mass proportionally.  a and b come from the
 leverage of coordinate i, so the ascent works on ratios f_i(z)/f free of
 the weights' scale.  The sweep runs on plain floats; M(p)^-1 is refreshed
 each round and carried through accepted lifts by in-place Sherman-Morrison
-updates.  Every ``safeguard_period``-th round applies the single best
-coordinate move over all m, so the iteration cannot stall on sweep order;
-it takes every coordinate's best lift in one array pass.
+updates.
 
 Coordinate ascent slows to a crawl near the optimum and sheds mass from
 points that must leave the support only geometrically.  So once a round
@@ -30,8 +28,8 @@ import numpy as np
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch
 from .objective import (allocation, design_problem, information_inverse, inverse_factor,
-                        leverage_matrix, leverages, lift_allocation, lift_coefficients,
-                        objective, require_spans, validated)
+                        is_integer, leverage_matrix, leverages, objective, require_spans,
+                        validated)
 
 # A point leaves the support before a Newton step when its mass is below
 # this fraction of the mass the step takes from it.
@@ -55,15 +53,12 @@ class LiftOneOptions:
     seed: int = 0
     max_rounds: int = 1000
     tol: float = 1e-10
-    safeguard_period: int = 10
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise DimensionMismatch("max_rounds must be at least 1")
+        if not (is_integer(self.max_rounds) and self.max_rounds >= 1):
+            raise DimensionMismatch("max_rounds must be a positive integer")
         if not self.tol > 0:
             raise DimensionMismatch("tol must be positive")
-        if self.safeguard_period < 1:
-            raise DimensionMismatch("safeguard_period must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -99,20 +94,10 @@ def maximize_profile(prof) -> tuple[float, float]:
     return 0.0, b
 
 
-def _best_lifts(p, delta, d):
-    """``maximize_profile`` for every coordinate: arrays z*, f_i(z*)/f from
-    masses p and leverages delta.  p_i = 1 (only for d = 1) stays: z* = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = lift_coefficients(p, delta, d)
-        z = np.where(a > b * d, (a - b * d) / ((a - b) * d), 0.0)
-        one = 1.0 - z
-        ratio = a * z * one ** (d - 1) + b * one**d
-    full = p == 1.0
-    return np.where(full, 1.0, z), np.where(full, 1.0, ratio)
-
-
 def _lift(pi, delta, d):
-    """``_best_lifts`` for one coordinate, on plain floats."""
+    """(z*, f_i(z*)/f) of ``maximize_profile`` for coordinate i, on plain
+    floats, from its mass pi and leverage delta.  p_i = 1 (only for d = 1)
+    stays: z* = 1."""
     if pi == 1.0:
         return 1.0, 1.0
     one = 1.0 - pi
@@ -264,34 +249,27 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
     accept = 1.0 + opts.tol
     rows, wl, v, vv = list(X), w.tolist(), np.empty(d), np.empty((d, d))
     for rounds in range(1, opts.max_rounds + 1):
-        if rounds % opts.safeguard_period == 0:
-            z, ratio = _best_lifts(p, leverages(X, w, information_inverse(X, w, p)), d)
-            best = int(np.argmax(ratio))
-            improved = ratio[best] > accept
-            if improved:
-                p = lift_allocation(p, best, z[best])
-        else:
-            M_inv = information_inverse(X, w, p)
-            improved = False
-            for i in rng.permutation(m).tolist():
-                v = np.dot(M_inv, rows[i], out=v)
-                pi, delta = p.item(i), wl[i] * float(rows[i] @ v)
-                z, ratio = _lift(pi, delta, d)
-                if ratio > accept:
-                    c = (1.0 - z) / (1.0 - pi)
-                    p *= c
-                    p[i] = z
-                    p /= p.sum()
-                    p[i] = z
-                    if c > 0.0:  # Sherman-Morrison: M -> c (M + g w_i x_i x_i')
-                        g = z / c - pi
-                        vv = np.multiply.outer(v, v, out=vv)
-                        vv *= g * wl[i] / (1.0 + g * delta)
-                        M_inv -= vv
-                        M_inv /= c
-                    else:  # z = 1, possible only for d = 1: all mass on row i
-                        M_inv = information_inverse(X, w, p)
-                    improved = True
+        M_inv = information_inverse(X, w, p)
+        improved = False
+        for i in rng.permutation(m).tolist():
+            v = np.dot(M_inv, rows[i], out=v)
+            pi, delta = p.item(i), wl[i] * float(rows[i] @ v)
+            z, ratio = _lift(pi, delta, d)
+            if ratio > accept:
+                c = (1.0 - z) / (1.0 - pi)
+                p *= c
+                p[i] = z
+                p /= p.sum()
+                p[i] = z
+                if c > 0.0:  # Sherman-Morrison: M -> c (M + g w_i x_i x_i')
+                    g = z / c - pi
+                    vv = np.multiply.outer(v, v, out=vv)
+                    vv *= g * wl[i] / (1.0 + g * delta)
+                    M_inv -= vv
+                    M_inv /= c
+                else:  # z = 1, possible only for d = 1: all mass on row i
+                    M_inv = information_inverse(X, w, p)
+                improved = True
         if not improved:
             break
     stationary = not improved

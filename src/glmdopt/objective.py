@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -102,6 +103,12 @@ def allocation(p, m: int | None = None) -> np.ndarray:
     if abs(s - 1.0) > MASS_ATOL:
         raise DimensionMismatch(f"allocation sums to {s!r}, not 1")
     return p / s
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools and integral floats are not
+    counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def integer_allocation(n, total: int | None = None) -> np.ndarray:

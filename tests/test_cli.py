@@ -265,6 +265,30 @@ def test_unknown_option_key(tmp_path, capsys):
     assert "max_iter" in capsys.readouterr().err
 
 
+def test_safeguard_period_is_no_longer_an_option(tmp_path, capsys):
+    # every lift-one round is the random sweep: there is no safeguard round to space out
+    with pytest.raises(TypeError):
+        g.LiftOneOptions(safeguard_period=10)
+    cfg = logit_cfg(tmp_path, options={"safeguard_period": 10})
+    assert cli.main(["optimize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "unknown option keys" in err and "safeguard_period" in err
+
+
+def test_fractional_round_cap_is_a_config_error(tmp_path, capsys):
+    cfg = logit_cfg(tmp_path, options={"max_rounds": 2.5})
+    assert cli.main(["optimize", "--config", cfg]) == 2
+    assert "max_rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_starts", "seed"])
+def test_boolean_count_is_a_config_error(tmp_path, capsys, key):
+    # JSON true is a Python bool, which isinstance(..., int) would let through
+    cfg = logit_cfg(tmp_path, total=12, **{key: True})
+    assert cli.main(["exact", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_family(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, matrix=matrix_2x2().tolist(), family_link="beta-logit", beta=[0, 0, 0]

@@ -1,11 +1,9 @@
-"""Lift-one's best-lift kernels against the public closed form.
+"""Lift-one's best-lift kernel against the public closed form.
 
-Safeguard rounds take every coordinate's best lift in one array pass
-(``_best_lifts``); the random sweep takes one coordinate at a time on
-plain floats (``_lift``).  Both must give the
-``maximize_profile`` answer for the profile that ``lift_coefficients``
-builds, on either side of the a > b d switch, where the clamp sets b = 0,
-and for d = 1.
+The random sweep takes one coordinate at a time on plain floats
+(``_lift``), which must give the ``maximize_profile`` answer for the
+profile that ``lift_coefficients`` builds, on either side of the
+a > b d switch, where the clamp sets b = 0, and for d = 1.
 """
 
 import itertools
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 import glmdopt as g
-from glmdopt.liftone import _best_lifts, _lift
+from glmdopt.liftone import _lift
 from glmdopt.objective import lift_coefficients
 
 CASES = 3000
@@ -50,16 +48,6 @@ def test_scalar_kernel_equals_the_closed_form():
         assert _lift(pi, di, k) == oracle(pi, di, k)
 
 
-def test_array_kernel_matches_the_closed_form():
-    p, delta, d = random_points(np.random.default_rng(3), CASES)
-    for k in range(1, 9):
-        sel = d == k
-        z, ratio = _best_lifts(p[sel], delta[sel], k)
-        want = np.array([oracle(pi, di, k) for pi, di in zip(p[sel].tolist(), delta[sel].tolist())])
-        np.testing.assert_allclose(z, want[:, 0], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(ratio, want[:, 1], rtol=1e-13, atol=0.0)
-
-
 def test_best_lift_is_the_profile_maximum():
     p, delta, d = random_points(np.random.default_rng(4), 400)
     grid = np.linspace(0.0, 1.0, 2001)
@@ -75,9 +63,6 @@ def test_best_lift_is_the_profile_maximum():
 def test_all_mass_on_one_point_stays_put():
     # p_i = 1 is reachable only for d = 1, where it has no profile to lift
     assert _lift(1.0, 1.0, 1) == (1.0, 1.0)
-    z, ratio = _best_lifts(np.array([0.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.5]), 1)
-    np.testing.assert_array_equal(z, [0.0, 1.0, 1.0])
-    np.testing.assert_array_equal(ratio, [1.0, 1.0, 1.5])
 
 
 def test_in_place_sweep_leaves_the_callers_arrays_alone():

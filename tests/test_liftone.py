@@ -15,13 +15,11 @@ from conftest import (
 
 def test_options_validation():
     opts = g.LiftOneOptions()
-    assert opts.max_rounds == 1000 and opts.tol == 1e-10 and opts.safeguard_period == 10
+    assert opts.max_rounds == 1000 and opts.tol == 1e-10
     with pytest.raises(g.DimensionMismatch):
         g.LiftOneOptions(max_rounds=0)
     with pytest.raises(g.DimensionMismatch):
         g.LiftOneOptions(tol=0.0)
-    with pytest.raises(g.DimensionMismatch):
-        g.LiftOneOptions(safeguard_period=0)
 
 
 def test_maximize_profile_against_grid(rng):
