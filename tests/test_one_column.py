@@ -43,8 +43,11 @@ def test_lift_one_puts_all_mass_on_the_best_row():
 
 
 @pytest.mark.parametrize("start", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.1, 0.7]])
-def test_lift_one_from_any_start(start):
-    res = g.lift_one_optimize(X, W, p0=start)
+@pytest.mark.parametrize("period", [1, 2, 10])
+def test_lift_one_from_any_start_and_safeguard_period(start, period):
+    # every round is now the random sweep, so what used to vary with the
+    # safeguard period is the sweep order: seed it with the period
+    res = g.lift_one_optimize(X, W, p0=start, opts=g.LiftOneOptions(seed=period))
     assert res.converged
     np.testing.assert_array_equal(res.p_opt, [0.0, 1.0, 0.0])
 
