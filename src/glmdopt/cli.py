@@ -1,13 +1,15 @@
 """Command-line front end.
 
 One JSON config document describes the problem (design matrix, family,
-beta or prior, options); subcommands run the optimizers and emit either
-a human-readable report or machine-readable JSON (--out json).  JSON
-output is byte-identical across runs with the same config and seed.
+beta or prior, options).  One pipeline in ``main`` serves every
+subcommand: it loads and checks the config and the matrix once, runs the
+command and prints a human-readable report or machine-readable JSON
+(--out json), byte-identical across runs with the same config and seed.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical
-failure (singular design, domain violation), 4 optimizer did not
-converge (the report is still printed).
+Exit codes: 0 success, 2 configuration or input error (every config,
+matrix or allocation mistake), 3 numerical failure (singular design,
+domain violation), 4 optimizer did not converge (the report is still
+printed).
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .certify import verify_optimal
-from .errors import ConfigError, DesignError, UnsupportedCombination
+from .errors import ConfigError, DesignError, SingularDesign, UnsupportedCombination
 from .ew import PointPrior, UniformPrior, ew_optimize, expected_weights
 from .exchange import optimize_exact
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import (design_matrix, is_integer, objective, relative_efficiency, require_spans,
-                        validated)
+from .objective import design_matrix, is_integer, objective, relative_efficiency, spans, validated
 from .weights import FAMILY_LINKS, GlmModel, compute_weights
 
 EXIT_OK = 0
@@ -88,20 +89,27 @@ def _load_matrix(cfg: dict) -> np.ndarray:
         raise ConfigError("'matrix' must be a CSV path string or a list of rows")
     try:
         return design_matrix(np.asarray(data, dtype=float))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, DesignError) as exc:
         raise ConfigError(f"bad matrix: {exc}")
 
 
 def _spanning(X, p=None) -> np.ndarray:
-    """X once the rows carrying mass under p (every row by default) span
-    R^d.  The library calls below run under ``validated`` on the X that
-    ``_load_matrix`` checked and on weights that ``compute_weights`` or
-    ``expected_weights`` checked, so this rank test is the one check left."""
-    if p is None:
-        require_spans(X, np.ones(len(X)), "design matrix has rank below its column count")
-    else:
-        require_spans(X, p, "allocation has a singular information matrix")
+    """X once the rows carrying mass under p (every row by default) span R^d.
+    Commands run under ``validated``, where ``require_spans`` checks nothing."""
+    if not spans(X, np.ones(len(X)) if p is None else p):
+        raise SingularDesign("design matrix has rank below its column count" if p is None
+                             else "allocation has a singular information matrix")
     return X
+
+
+def _number(value, what: str) -> float:
+    """A JSON int or float (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond the double range")
 
 
 def _parse_prior(spec) -> tuple:
@@ -120,7 +128,8 @@ def _parse_prior(spec) -> tuple:
                 raise ConfigError(
                     f"prior component {j}: uniform needs params [lo, hi]"
                 )
-            comps.append(UniformPrior(float(params[0]), float(params[1])))
+            comps.append(UniformPrior(*(_number(v, f"prior component {j}: uniform bound")
+                                        for v in params)))
         elif dist == "point":
             if isinstance(params, list):
                 if len(params) != 1:
@@ -130,7 +139,7 @@ def _parse_prior(spec) -> tuple:
                 params = params[0]
             if params is None:
                 raise ConfigError(f"prior component {j}: point needs a value")
-            comps.append(PointPrior(float(params)))
+            comps.append(PointPrior(_number(params, f"prior component {j}: point value")))
         else:
             raise ConfigError(
                 f"prior component {j}: unknown dist {dist!r} "
@@ -144,17 +153,19 @@ def _check_exactly_one(cfg: dict):
         raise ConfigError("config must contain exactly one of 'beta' or 'prior'")
 
 
-def _family(cfg: dict) -> str:
+def _family(cfg: dict) -> tuple[str, dict]:
+    """The family_link and its optional 'shape' and 'variance' as floats."""
     fam = cfg.get("family_link")
     if fam not in FAMILY_LINKS:
         raise ConfigError(
             f"config needs 'family_link', one of {', '.join(FAMILY_LINKS)}"
         )
-    return fam
+    return fam, {key: None if cfg.get(key) is None else _number(cfg[key], f"'{key}'")
+                 for key in ("shape", "variance")}
 
 
-def _model(cfg: dict) -> GlmModel:
-    fam = _family(cfg)
+def _model(cfg: dict, X) -> GlmModel:
+    fam, constants = _family(cfg)
     if "beta" not in cfg:
         raise ConfigError(
             "this command needs 'beta' in the config; "
@@ -162,23 +173,32 @@ def _model(cfg: dict) -> GlmModel:
         )
     try:
         beta = np.asarray(cfg["beta"], dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ConfigError("'beta' must be a list of numbers")
     try:
-        return GlmModel(fam, beta, shape=cfg.get("shape"), variance=cfg.get("variance"))
+        model = GlmModel(fam, beta, **constants)
     except DesignError as exc:
         raise ConfigError(f"bad model: {exc}")
+    if model.d != X.shape[1]:
+        raise ConfigError(f"design matrix has {X.shape[1]} columns but 'beta' has length {model.d}")
+    return model
+
+
+def _block(cfg: dict, key: str, allowed: tuple) -> dict:
+    """The optional sub-object cfg[key]; its keys must be among ``allowed``."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    extra = set(block) - set(allowed)
+    if extra:
+        raise ConfigError(  # "unknown option keys", "unknown ew keys"
+            f"unknown {key.rstrip('s')} keys {sorted(extra)}; supported: {list(allowed)}"
+        )
+    return block
 
 
 def _options(cfg: dict, seed: int) -> LiftOneOptions:
-    opts = cfg.get("options", {})
-    if not isinstance(opts, dict):
-        raise ConfigError("'options' must be an object")
-    extra = set(opts) - set(_OPTION_KEYS)
-    if extra:
-        raise ConfigError(
-            f"unknown option keys {sorted(extra)}; supported: {list(_OPTION_KEYS)}"
-        )
+    opts = _block(cfg, "options", _OPTION_KEYS)
     try:
         return LiftOneOptions(seed=seed, **opts)
     except (DesignError, ValueError, TypeError) as exc:
@@ -187,25 +207,18 @@ def _options(cfg: dict, seed: int) -> LiftOneOptions:
 
 def _resolve_seed(cfg: dict, args) -> tuple[int, bool]:
     """Effective seed and whether the user set one explicitly."""
-    if args.seed is not None:
-        return int(args.seed), True
-    if "seed" in cfg:
-        seed = cfg["seed"]
-        if not is_integer(seed):
-            raise ConfigError("'seed' must be an integer")
-        return seed, True
-    return 0, False
+    if args.seed is None and "seed" not in cfg:
+        return 0, False
+    seed = cfg["seed"] if args.seed is None else args.seed
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError("'seed' must be a non-negative integer")
+    return seed, True
 
 
-def _ew_settings(cfg: dict, fam: str, seed: int, seed_given: bool):
-    block = cfg.get("ew", {})
-    if not isinstance(block, dict):
-        raise ConfigError("'ew' must be an object")
-    extra = set(block) - set(_EW_KEYS)
-    if extra:
-        raise ConfigError(
-            f"unknown ew keys {sorted(extra)}; supported: {list(_EW_KEYS)}"
-        )
+def _expected_weights(cfg: dict, X, seed: int, seed_given: bool):
+    fam, constants = _family(cfg)
+    prior = _parse_prior(cfg["prior"])
+    block = _block(cfg, "ew", _EW_KEYS)
     method = block.get(
         "method", "closed-form-poisson" if fam == "poisson-log" else "monte-carlo"
     )
@@ -217,32 +230,22 @@ def _ew_settings(cfg: dict, fam: str, seed: int, seed_given: bool):
             "monte-carlo expected weights need an explicit seed "
             "(config 'seed' or --seed)"
         )
-    return method, samples
-
-
-def _expected_weights(cfg: dict, X, seed: int, seed_given: bool):
-    fam = _family(cfg)
-    prior = _parse_prior(cfg["prior"])
-    method, samples = _ew_settings(cfg, fam, seed, seed_given)
-    ew = validated(
-        expected_weights,
+    ew = expected_weights(
         X,
         fam,
         prior,
         method=method,
         samples=samples,
         seed=seed if method == "monte-carlo" else None,
-        shape=cfg.get("shape"),
-        variance=cfg.get("variance"),
+        **constants,
     )
     return ew, method
 
 
 def _weight_vector(cfg: dict, X, seed: int, seed_given: bool) -> np.ndarray:
     """w from beta if present, else expected weights from the prior."""
-    _check_exactly_one(cfg)
     if "beta" in cfg:
-        return validated(compute_weights, X, _model(cfg))
+        return compute_weights(X, _model(cfg, X))
     return _expected_weights(cfg, X, seed, seed_given)[0]
 
 
@@ -267,6 +270,8 @@ def _load_allocation(path: str, m: int) -> np.ndarray:
             f"allocation file {path} has {len(vals)} entries for {m} design rows"
         )
     v = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"allocation file {path} has non-finite entries")
     if np.any(v < 0):
         raise ConfigError(f"allocation file {path} has negative entries")
     total = v.sum()
@@ -287,11 +292,11 @@ def _strict(value):
     return value
 
 
-def _emit(report: dict, args, lines=None):
+def _emit(report: dict, args, lines):
     if args.out == "json":
         print(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
     else:
-        for line in lines or []:
+        for line in lines:
             print(line)
 
 
@@ -299,13 +304,10 @@ def _fmt_vec(v, nd=3):
     return "  ".join(f"{x:.{nd}f}" for x in v)
 
 
-def cmd_weights(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    _check_exactly_one(cfg)
-    seed, seed_given = _resolve_seed(cfg, args)
+def cmd_weights(cfg: dict, X, seed: int, seed_given: bool, args):
     if "beta" in cfg:
-        model = _model(cfg)
-        w = validated(compute_weights, X, model)
+        model = _model(cfg, X)
+        w = compute_weights(X, model)
         eta = X @ model.beta
         report = {
             "command": "weights",
@@ -327,11 +329,10 @@ def cmd_weights(cfg: dict, args) -> int:
         }
         lines = [f"expected weights ({method})", "row         weight"]
         lines += [f"{i:3d} {ew[i]:14.6g}" for i in range(len(ew))]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def _optimize_report(command, X, w, res, extra=None):
+def _optimize_report(command, res, **extra):
     report = {
         "command": command,
         "p": res.p_opt.tolist(),
@@ -340,9 +341,8 @@ def _optimize_report(command, X, w, res, extra=None):
         "polish_steps": res.polish_steps,
         "converged": res.converged,
         "optimal": res.certificate.optimal,
+        **extra,
     }
-    if extra:
-        report.update(extra)
     lines = [
         f"p (3 decimals): {_fmt_vec(res.p_opt)}",
         f"p (full):       {json.dumps(res.p_opt.tolist())}",
@@ -350,25 +350,17 @@ def _optimize_report(command, X, w, res, extra=None):
         f"rounds = {res.rounds}, polish steps = {res.polish_steps}",
         f"converged = {res.converged}, certificate optimal = {res.certificate.optimal}",
     ]
-    return report, lines
+    return report, lines, EXIT_OK if res.converged else EXIT_NO_CONVERGE
 
 
-def cmd_optimize(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    _check_exactly_one(cfg)
-    w = validated(compute_weights, X, _model(cfg))
-    seed, _ = _resolve_seed(cfg, args)
+def cmd_optimize(cfg: dict, X, seed: int, seed_given: bool, args):
+    w = compute_weights(X, _model(cfg, X))
     opts = _options(cfg, seed)
-    res = validated(lift_one_optimize, _spanning(X), w, opts=opts)
-    report, lines = _optimize_report("optimize", X, w, res)
-    _emit(report, args, lines)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGE
+    return _optimize_report("optimize", lift_one_optimize(_spanning(X), w, opts=opts))
 
 
-def cmd_exact(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    _check_exactly_one(cfg)
-    w = validated(compute_weights, X, _model(cfg))
+def cmd_exact(cfg: dict, X, seed: int, seed_given: bool, args):
+    w = compute_weights(X, _model(cfg, X))
     total = cfg.get("total")
     if not (is_integer(total) and total >= X.shape[1]):
         raise ConfigError(
@@ -377,8 +369,7 @@ def cmd_exact(cfg: dict, args) -> int:
     n_starts = cfg.get("n_starts", 5)
     if not (is_integer(n_starts) and n_starts >= 1):
         raise ConfigError("'n_starts' must be a positive integer")
-    seed, _ = _resolve_seed(cfg, args)
-    n = validated(optimize_exact, _spanning(X), w, total, seed=seed, n_starts=n_starts)
+    n = optimize_exact(_spanning(X), w, total, seed=seed, n_starts=n_starts)
     f = objective(X, w, n)
     report = {
         "command": "exact",
@@ -391,16 +382,13 @@ def cmd_exact(cfg: dict, args) -> int:
         f"total = {int(n.sum())}",
         f"f = {f!r}",
     ]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def cmd_verify(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    seed, seed_given = _resolve_seed(cfg, args)
+def cmd_verify(cfg: dict, X, seed: int, seed_given: bool, args):
     w = _weight_vector(cfg, X, seed, seed_given)
     p = _load_allocation(args.allocation, X.shape[0])
-    cert = validated(verify_optimal, _spanning(X, p), w, p)
+    cert = verify_optimal(_spanning(X, p), w, p)
     report = {
         "command": "verify",
         "optimal": cert.optimal,
@@ -414,17 +402,14 @@ def cmd_verify(cfg: dict, args) -> int:
         lines.append(
             f"{c.index:3d} {c.case:9s} {c.lhs:14.6g} {c.rhs:14.6g} {str(c.passed):5s}{note}"
         )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def cmd_efficiency(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    seed, seed_given = _resolve_seed(cfg, args)
+def cmd_efficiency(cfg: dict, X, seed: int, seed_given: bool, args):
     w = _weight_vector(cfg, X, seed, seed_given)
     p_test = _load_allocation(args.test_allocation, X.shape[0])
     p_ref = _load_allocation(args.ref_allocation, X.shape[0])
-    eff = validated(relative_efficiency, _spanning(X, p_ref), w, p_test, p_ref)
+    eff = relative_efficiency(_spanning(X, p_ref), w, p_test, p_ref)
     report = {
         "command": "efficiency",
         "efficiency": eff,
@@ -432,28 +417,23 @@ def cmd_efficiency(cfg: dict, args) -> int:
         "f_ref": objective(X, w, p_ref),
     }
     lines = [f"relative efficiency = {eff:.6f}  ({eff!r})"]
-    _emit(report, args, lines)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def cmd_ew(cfg: dict, args) -> int:
-    X = _load_matrix(cfg)
-    _check_exactly_one(cfg)
+def cmd_ew(cfg: dict, X, seed: int, seed_given: bool, args):
     if "prior" not in cfg:
         raise ConfigError("the 'ew' subcommand needs 'prior' in the config")
-    seed, seed_given = _resolve_seed(cfg, args)
     ew, method = _expected_weights(cfg, X, seed, seed_given)
     opts = _options(cfg, seed)
-    res = validated(ew_optimize, _spanning(X), ew, opts=opts)
-    report, lines = _optimize_report(
-        "ew", X, ew, res,
-        extra={"expected_weights": ew.tolist(), "method": method},
+    res = ew_optimize(_spanning(X), ew, opts=opts)
+    report, lines, code = _optimize_report(
+        "ew", res, expected_weights=ew.tolist(), method=method,
     )
     lines.insert(0, f"expected weights ({method}): {_fmt_vec(ew)}")
-    _emit(report, args, lines)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGE
+    return report, lines, code
 
 
+# (cfg, X, seed, seed_given, args) -> (report, text lines, exit code)
 _COMMANDS = {
     "weights": cmd_weights,
     "optimize": cmd_optimize,
@@ -500,13 +480,19 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        X = _load_matrix(cfg)
+        _check_exactly_one(cfg)
+        seed, seed_given = _resolve_seed(cfg, args)
+        # X is checked once, above: the library skips its own input checks
+        report, lines, code = validated(_COMMANDS[args.command], cfg, X, seed, seed_given, args)
     except (ConfigError, UnsupportedCombination, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DesignError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _emit(report, args, lines)
+    return code
 
 
 def entry():

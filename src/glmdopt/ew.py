@@ -157,6 +157,8 @@ def expected_weights(
     elif method == "monte-carlo":
         if seed is None:
             raise ConfigError("monte-carlo expected weights require an explicit seed")
+        if not (is_integer(seed) and seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if not (is_integer(samples) and samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {samples!r}")
         from concurrent.futures import ThreadPoolExecutor

@@ -55,6 +55,8 @@ class LiftOneOptions:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise DimensionMismatch("seed must be a non-negative integer")
         if not (is_integer(self.max_rounds) and self.max_rounds >= 1):
             raise DimensionMismatch("max_rounds must be a positive integer")
         if not self.tol > 0:

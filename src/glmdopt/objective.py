@@ -116,11 +116,13 @@ def integer_allocation(n, total: int | None = None) -> np.ndarray:
     n = np.asarray(n)
     if n.ndim != 1:
         raise DimensionMismatch("integer allocation must be one-dimensional")
-    if not np.all(np.isfinite(np.asarray(n, dtype=float))):
+    x = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise NonFiniteInput("integer allocation contains non-finite entries")
-    if np.any(np.asarray(n, dtype=float) != np.round(np.asarray(n, dtype=float))):
+    n = np.round(x)
+    if np.any(x != n):
         raise DimensionMismatch("integer allocation entries must be integers")
-    n = np.asarray(np.round(np.asarray(n, dtype=float)), dtype=int)
+    n = n.astype(int)
     if np.any(n < 0):
         raise DimensionMismatch("integer allocation entries must be nonnegative")
     if total is not None and int(n.sum()) != int(total):

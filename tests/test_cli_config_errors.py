@@ -1,0 +1,128 @@
+"""Every config or input mistake exits 2 with an ``error:`` line.
+
+Numbers in the config are JSON ints or floats, shapes must agree, and
+allocation and matrix entries must be finite; a mistake in any of them
+is a configuration error, never a traceback and never a "numerical
+error".  Singular designs and domain violations stay exit 3 (see
+``test_cli.py`` and ``test_cli_validate_once.py``).
+"""
+
+import json
+
+import pytest
+
+from glmdopt import cli
+
+MATRIX = [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]]
+POINTS = [{"dist": "point", "params": [0.1]}] * 2
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def config(tmp_path, **cfg):
+    cfg = {"matrix": MATRIX, "family_link": "poisson-log", **cfg}
+    if "prior" not in cfg:
+        cfg.setdefault("beta", [0.1, 0.2, -0.3])
+    return write(tmp_path, "cfg.json", json.dumps(cfg))
+
+
+def config_error(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith("error:"), err
+    return err
+
+
+@pytest.mark.parametrize("params", [["a", 1], [None, 1], [True, 1], [0, [1]]])
+@pytest.mark.parametrize("command", ["weights", "ew"])
+def test_uniform_prior_bounds_must_be_numbers(tmp_path, capsys, params, command):
+    prior = [{"dist": "uniform", "params": params}] + POINTS
+    err = config_error(capsys, [command, "--config", config(tmp_path, prior=prior)])
+    assert "prior component 0" in err
+
+
+@pytest.mark.parametrize("value", ["a", [[1]], False])
+def test_point_prior_value_must_be_a_number(tmp_path, capsys, value):
+    prior = [{"dist": "point", "params": [value]}] + POINTS
+    err = config_error(capsys, ["ew", "--config", config(tmp_path, prior=prior)])
+    assert "prior component 0" in err
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("gamma-inverse", "shape", "abc"),
+    ("gamma-inverse", "shape", [1]),
+    ("normal-identity", "variance", [1]),
+    ("normal-identity", "variance", "abc"),
+])
+def test_shape_and_variance_must_be_numbers(tmp_path, capsys, family, key, value):
+    # with beta they reach GlmModel; with a prior they reach expected_weights
+    beta = config(tmp_path, family_link=family, beta=[1.0, 0.1, 0.1], **{key: value})
+    assert key in config_error(capsys, ["optimize", "--config", beta])
+    prior = [{"dist": "uniform", "params": [1.0, 2.0]}] + POINTS
+    cfg = config(tmp_path, family_link=family, prior=prior, seed=1, ew={"samples": 100}, **{key: value})
+    assert key in config_error(capsys, ["weights", "--config", cfg])
+
+
+@pytest.mark.parametrize("text", ["1\ninf\n1\n1\n", "1\nnan\n1\n1\n", "-inf\n1\n1\n1\n"])
+def test_allocation_entries_must_be_finite(tmp_path, capsys, text):
+    cfg = config(tmp_path)
+    bad = write(tmp_path, "bad.txt", text)
+    uniform = write(tmp_path, "uniform.txt", "1\n" * 4)
+    assert "non-finite" in config_error(capsys, ["verify", "--config", cfg, bad])
+    assert "non-finite" in config_error(capsys, ["efficiency", "--config", cfg, bad, uniform])
+    assert "non-finite" in config_error(capsys, ["efficiency", "--config", cfg, uniform, bad])
+
+
+@pytest.mark.parametrize("command", ["weights", "optimize", "exact"])
+def test_matrix_with_fewer_rows_than_columns(tmp_path, capsys, command):
+    cfg = config(tmp_path, matrix=MATRIX[:2], total=10)
+    assert "bad matrix" in config_error(capsys, [command, "--config", cfg])
+
+
+def test_matrix_csv_with_a_nan_cell(tmp_path, capsys):
+    write(tmp_path, "X.csv", "a,b,c\n1,1,1\n1,nan,-1\n1,-1,1\n1,-1,-1\n")
+    cfg = config(tmp_path, matrix="X.csv")
+    assert "non-finite" in config_error(capsys, ["optimize", "--config", cfg])
+
+
+@pytest.mark.parametrize("matrix", [[[1, 10**400, 0]] + MATRIX, [[1, 1e400, 0]] + MATRIX])
+def test_matrix_entries_beyond_the_double_range(tmp_path, capsys, matrix):
+    cfg = config(tmp_path, matrix=matrix)
+    assert "bad matrix" in config_error(capsys, ["weights", "--config", cfg])
+
+
+@pytest.mark.parametrize("beta", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+@pytest.mark.parametrize("command", ["weights", "optimize", "exact", "verify"])
+def test_beta_length_must_match_the_columns(tmp_path, capsys, beta, command):
+    cfg = config(tmp_path, beta=beta, total=10)
+    extra = [write(tmp_path, "uniform.txt", "1\n" * 4)] if command == "verify" else []
+    err = config_error(capsys, [command, "--config", cfg, *extra])
+    assert "'beta' has length" in err
+
+
+def test_beta_beyond_the_double_range(tmp_path, capsys):
+    cfg = config(tmp_path, beta=[10**400, 0, 0])
+    assert "beta" in config_error(capsys, ["weights", "--config", cfg])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "7", None])
+@pytest.mark.parametrize("command", ["optimize", "exact", "ew"])
+def test_config_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed, command):
+    prior = {"prior": [{"dist": "uniform", "params": [0.0, 1.0]}] * 3} if command == "ew" else {}
+    cfg = config(tmp_path, seed=seed, total=10, **prior)
+    err = config_error(capsys, [command, "--config", cfg])
+    assert "'seed' must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("command", ["weights", "optimize", "exact", "ew"])
+def test_command_line_seed_must_be_non_negative(tmp_path, capsys, command):
+    prior = {"prior": [{"dist": "uniform", "params": [0.0, 1.0]}] * 3} if command == "ew" else {}
+    cfg = config(tmp_path, total=10, **prior)
+    err = config_error(capsys, [command, "--config", cfg, "--seed", "-1"])
+    assert "'seed' must be a non-negative integer" in err
+    assert cli.main([command, "--config", cfg, "--seed", "0"]) == 0

@@ -80,3 +80,33 @@ def test_monte_carlo_draw_count_must_be_an_integer(samples):
 
 def test_monte_carlo_takes_a_numpy_draw_count():
     np.testing.assert_array_equal(monte_carlo(np.int64(2)), monte_carlo(2))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, None])
+def test_lift_one_seed_must_be_a_non_negative_integer(seed):
+    # seed = 1.5 used to end in numpy's bare TypeError, seed = -1 in a bare ValueError
+    with pytest.raises(g.DimensionMismatch, match="seed"):
+        g.LiftOneOptions(seed=seed)
+    assert g.LiftOneOptions(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True])
+def test_optimize_exact_needs_a_non_negative_integer_seed(logit, seed):
+    # seed = True used to run as seed 1
+    X, w = logit
+    with pytest.raises(g.DimensionMismatch, match="seed"):
+        g.optimize_exact(X, w, 10, seed=seed)
+    np.testing.assert_array_equal(g.optimize_exact(X, w, 10, seed=np.int64(3), n_starts=2),
+                                  g.optimize_exact(X, w, 10, seed=3, n_starts=2))
+
+
+def monte_carlo_seeded(seed):
+    return g.expected_weights(matrix_2x3_dummy(), "binary-logit", uniform_box_prior(),
+                              method="monte-carlo", samples=64, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True])
+def test_monte_carlo_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(g.ConfigError, match="seed"):
+        monte_carlo_seeded(seed)
+    np.testing.assert_array_equal(monte_carlo_seeded(np.uint32(5)), monte_carlo_seeded(5))
