@@ -15,11 +15,15 @@ d x d solve, implemented by ``check_saturated``.
 delta_i = w_i x_i' M(p)^-1 x_i, where they read delta_i <= d on zero-mass
 points and delta_i = d on support points (Kiefer and Wolfowitz, 1960);
 the tests check them against the determinant oracles in ``objective``.
+Its certificate stores p, the leverages, f, d and tol, and
+``per_point`` builds each point's ``PointCheck`` from them when it is
+read, so a certificate keeps O(m) floats rather than m objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +56,79 @@ class PointCheck:
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
+    """The verdict with its per-point checks.
+
+    per_point is a read-only sequence of ``PointCheck``: from
+    ``verify_optimal`` an array-backed one that builds each check when it
+    is read, or any tuple of checks the verdict agrees with.
+    """
+
     optimal: bool
-    per_point: tuple[PointCheck, ...]
+    per_point: Sequence[PointCheck]
     tolerance: float
 
     def __post_init__(self):
-        agg = all(pc.passed for pc in self.per_point)
+        points = self.per_point
+        if isinstance(points, _PointChecks):
+            agg = points.verdicts().all()
+        else:
+            agg = all(pc.passed for pc in points)
         if self.optimal != agg:
             raise SingularDesign("certificate verdict out of sync with points")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _PointChecks(Sequence):
+    """``verify_optimal``'s per-point checks, from the normalized p and the
+    leverages delta (both read-only), f = f(p), d and tol.  Equal when
+    those are."""
+
+    p: np.ndarray
+    delta: np.ndarray
+    f: float
+    d: int
+    tol: float
+
+    def __len__(self):
+        return self.p.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._check(range(len(self))[i], self._table())
+
+    def __iter__(self):
+        table = self._table()
+        return (self._check(i, table) for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, _PointChecks):
+            return NotImplemented
+        return (np.array_equal(self.p, other.p) and np.array_equal(self.delta, other.delta)
+                and (self.f, self.d, self.tol) == (other.f, other.d, other.tol))
+
+    def verdicts(self) -> np.ndarray:
+        return self._table()[-1]
+
+    def _table(self):
+        return _conditions(self.p, self.delta, self.d, self.tol)
+
+    def _check(self, i: int, table) -> PointCheck:
+        zero, over, band, at_zero, at_half, passed = table
+        d, f = self.d, self.f
+        pi, ok = float(self.p[i]), bool(passed[i])
+        if zero[i]:
+            note = f"mass {pi:.3g} clamped to zero" if pi > 0.0 else ""
+            return PointCheck(i, "zero-mass", float(at_half[i]) * f, (d + 1.0) / 2.0**d * f, ok, note)
+        if over[i]:
+            return PointCheck(i, "positive-mass", pi, 1.0 / d, False,
+                              "mass exceeds 1/d, which rules out optimality")
+        if pi == 1.0:  # d = 1 with all mass here: f_i(0) and its bound are 0/0
+            return PointCheck(i, "positive-mass", float(self.delta[i]), float(d), ok,
+                              "all mass on one point: leverage checked against d")
+        rhs = (1.0 - pi * d) / (1.0 - pi) ** d * f
+        note = "" if band[i] else "leverage exceeds d"
+        return PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok, note)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,26 +164,10 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     f = objective(X, w, p)
 
     delta = leverages(X, w, information_inverse(X, w, p))
-    zero, over, band, at_zero, at_half, passed = _conditions(p, delta, d, tol)
-    bound_zero = (d + 1.0) / 2.0**d * f
-    checks = []
-    for i in range(m):
-        pi, ok = float(p[i]), bool(passed[i])
-        if zero[i]:
-            note = f"mass {pi:.3g} clamped to zero" if pi > 0.0 else ""
-            pc = PointCheck(i, "zero-mass", float(at_half[i]) * f, bound_zero, ok, note)
-        elif over[i]:
-            pc = PointCheck(i, "positive-mass", pi, 1.0 / d, False,
-                            "mass exceeds 1/d, which rules out optimality")
-        elif pi == 1.0:  # d = 1 with all mass here: f_i(0) and its bound are 0/0
-            pc = PointCheck(i, "positive-mass", float(delta[i]), float(d), ok,
-                            "all mass on one point: leverage checked against d")
-        else:
-            rhs = (1.0 - pi * d) / (1.0 - pi) ** d * f
-            note = "" if band[i] else "leverage exceeds d"
-            pc = PointCheck(i, "positive-mass", float(at_zero[i]) * f, rhs, ok, note)
-        checks.append(pc)
-    return OptimalityCertificate(optimal=bool(passed.all()), per_point=tuple(checks), tolerance=tol)
+    p.flags.writeable = delta.flags.writeable = False  # the checks are built from them on read
+    optimal = bool(_conditions(p, delta, d, tol)[-1].all())
+    return OptimalityCertificate(optimal=optimal, per_point=_PointChecks(p, delta, f, d, tol),
+                                 tolerance=tol)
 
 
 def _conditions(p, delta, d, tol):

@@ -120,9 +120,12 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     that strictly improves f.  Degenerate pairs with A <= 0 (proportional
     rows) fall back to comparing the two endpoints, where the profile is
     affine.  Returns a new allocation; the total is preserved exactly.
+    seed is a non-negative integer or a ``numpy.random.SeedSequence``.
 
     Raises
     ------
+    DimensionMismatch
+        If the seed is neither.
     SingularDesign
         If the rows holding units under n0 do not span R^d.
     DesignError
@@ -133,6 +136,8 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     n = integer_allocation(n0)
     if len(n) != m:
         raise DimensionMismatch(f"allocation of length {len(n)} for {m} rows")
+    if not (is_integer(seed) and seed >= 0 or isinstance(seed, np.random.SeedSequence)):
+        raise DimensionMismatch("seed must be a non-negative integer or a SeedSequence")
     total = int(n.sum())
 
     require_spans(X, n, "starting exact design has a singular information matrix")
