@@ -70,7 +70,7 @@ class OptimalityCertificate:
     def __post_init__(self):
         points = self.per_point
         if isinstance(points, _PointChecks):
-            agg = points.verdicts().all()
+            agg = points.optimal
         else:
             agg = all(pc.passed for pc in points)
         if self.optimal != agg:
@@ -80,14 +80,15 @@ class OptimalityCertificate:
 @dataclass(frozen=True, eq=False, slots=True)
 class _PointChecks(Sequence):
     """``verify_optimal``'s per-point checks, from the normalized p and the
-    leverages delta (both read-only), f = f(p), d and tol.  Equal when
-    those are."""
+    leverages delta (both read-only), f = f(p), d and tol, with the
+    verdict ``verify_optimal`` drew from them.  Equal when those are."""
 
     p: np.ndarray
     delta: np.ndarray
     f: float
     d: int
     tol: float
+    optimal: bool
 
     def __len__(self):
         return self.p.size
@@ -106,9 +107,6 @@ class _PointChecks(Sequence):
             return NotImplemented
         return (np.array_equal(self.p, other.p) and np.array_equal(self.delta, other.delta)
                 and (self.f, self.d, self.tol) == (other.f, other.d, other.tol))
-
-    def verdicts(self) -> np.ndarray:
-        return self._table()[-1]
 
     def _table(self):
         return _conditions(self.p, self.delta, self.d, self.tol)
@@ -165,8 +163,9 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
 
     delta = leverages(X, w, information_inverse(X, w, p))
     p.flags.writeable = delta.flags.writeable = False  # the checks are built from them on read
-    optimal = bool(_conditions(p, delta, d, tol)[-1].all())
-    return OptimalityCertificate(optimal=optimal, per_point=_PointChecks(p, delta, f, d, tol),
+    optimal = certified(p, delta, d, tol)
+    return OptimalityCertificate(optimal=optimal,
+                                 per_point=_PointChecks(p, delta, f, d, tol, optimal),
                                  tolerance=tol)
 
 

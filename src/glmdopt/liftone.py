@@ -12,13 +12,14 @@ each round and carried through accepted lifts by in-place Sherman-Morrison
 updates.
 
 Coordinate ascent slows to a crawl near the optimum and sheds mass from
-points that must leave the support only geometrically.  So every tenth
-round tries an active-set Newton finish (on the support plus the vertex
-direction of Yang, Biedermann and Tang, 2013) from a copy of p; its
-result is kept only if the optimality certificate holds, and otherwise
-the sweep goes on from its own p.  A round that gains less than ``tol``
-ends the sweep in the finish.  Only a certified finish is reported as
-``converged``; ``polish_steps`` counts the Newton steps of every try.
+points that must leave the support only geometrically.  So every second
+round tries an active-set Newton finish (on the support plus every
+vertex direction of Yang, Biedermann and Tang, 2013) from a copy of p;
+its result is kept only if the optimality certificate holds, and
+otherwise the sweep goes on from its own p.  A round that gains less
+than ``tol`` ends the sweep in the finish.  Only a certified finish is
+reported as ``converged``; ``polish_steps`` counts the Newton steps of
+every try.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ _FLAT = 1e-8
 # Backtracking halvings before a step counts as lost in rounding.
 _HALVINGS = 60
 # Every this many rounds the sweep tries the Newton finish from where it
-# stands.  A shorter period starts it from a larger support, so it takes
-# more Newton steps (15 against 8 on an m = 512, d = 10 logit design at a
-# period of 5); a longer one sweeps longer before the first try.
-_FINISH_EVERY = 10
+# stands.  Its projected steps drop many points at once, so a try from the
+# large support of round 2 certifies in a few steps (9 on an m = 512,
+# d = 10 logit design); a try from round 1 takes 15 there.
+_FINISH_EVERY = 2
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class LiftOneOptions:
 class LiftOneResult:
     """Optimizer outcome.
 
-    converged is True only when a Newton finish, tried every tenth round
+    converged is True only when a Newton finish, tried every second round
     or after a stationary sweep within max_rounds, certified its point AND
     the attached certificate agrees; the certificate is attached for
     inspection either way.  p_opt is the certificate's own read-only
@@ -130,13 +131,13 @@ def _newton_finish(X, w, p, d):
 def _finish(X, w, p, d):
     """Active-set Newton ascent of log f from p, leaving p itself alone.
 
-    On the support S plus the outside point with the largest delta_i > d
-    (the vertex direction), log f has gradient delta_S and Hessian
+    On the support S plus every outside point with delta_i > d (the
+    vertex directions), log f has gradient delta_S and Hessian
     -(G_S o G_S), and ``_directions`` turns the quadratic model under
-    sum_S p = 1 into steps.  The ratio test stops a step where a mass
-    reaches zero, and the step halves until log f strictly rises.  Returns
-    (p, steps, True) once ``certified`` holds on the leverages of the last
-    step, or (p, steps, False) when no direction raises log f.
+    sum_S p = 1 into steps, which ``_ascend`` shortens until log f
+    strictly rises.  Returns (p, steps, True) once ``certified`` holds on
+    the leverages of the last step, or (p, steps, False) when no
+    direction raises log f.
     """
     steps = 0
     while True:
@@ -145,11 +146,7 @@ def _finish(X, w, p, d):
         delta = leverages(X, w, M_inv)
         if certified(p, delta, d):
             return p, steps, True
-        S = np.flatnonzero(p > 0.0)
-        outside = np.where(p > 0.0, -np.inf, delta)
-        j = int(np.argmax(outside))
-        if outside[j] > d:
-            S = np.append(S, j)
+        S = np.flatnonzero((p > 0.0) | (delta > d))
         K = leverage_matrix(X[S], w[S], M_inv) ** 2
         Y = L_inv @ (X[S].T * np.sqrt(w[S]))
         for step, reach in _directions(p[S], delta[S], K):
@@ -170,7 +167,7 @@ def _directions(mass, grad, K):
     First the Newton step after points whose step is negative and far
     exceeds their mass (``_NEAR_ZERO``) leave at u_i = -mass_i.  Forcing
     them out can cost more than it gains, so next the Newton step that
-    drops only massless points (the vertex direction's, when its step is
+    drops only massless points (the outside points whose step is
     negative).  Last the gradient along the model's flat directions, which
     takes no mass from a massless point, followed as far as the ratio test
     allows.  A Newton step is tried only if log f rises along it to first
@@ -179,14 +176,13 @@ def _directions(mass, grad, K):
     """
     slope = grad - mass @ grad  # first-order gain in log f of a move u, renormalized
     tried = None
+    free = _model_step(mass, grad, K, np.zeros(mass.size, dtype=bool))
     for near in (_NEAR_ZERO, 0.0):
         out = np.zeros(mass.size, dtype=bool)
-        while True:
-            step, flat = _model_step(mass, grad, K, out)
-            leave = ~out & (step < 0.0) & (mass <= -near * step)
-            if not leave.any():
-                break
+        step, flat = free
+        while (leave := ~out & (step < 0.0) & (mass <= -near * step)).any():
             out |= leave
+            step, flat = _model_step(mass, grad, K, out)
         flat = np.where(mass > 0.0, flat, np.maximum(flat, 0.0))
         if not np.array_equal(out, tried) and slope @ step > max(slope @ flat, 0.0):
             yield step, 1.0
@@ -217,16 +213,19 @@ def _model_step(mass, grad, K, out):
 
 
 def _ascend(p, S, step, reach, Y):
-    """The first q = p + alpha step on S, alpha from min(reach, the
-    ratio-test limit) halving, at which log f rises; None when no alpha
-    above rounding does.  With Y = L^-1 X_S' W_S^1/2 for the Cholesky
-    factor L of M(p), log f(q) - log f(p) is the sum of log(1 + lambda)
-    over the eigenvalues of Y diag(q_S - p_S) Y', free of the rounding of
-    two nearly equal log-determinants."""
+    """The first q = p + alpha step on S at which log f rises; None when no
+    alpha above rounding does.  alpha halves from reach while it exceeds
+    the ratio-test limit, where masses that go negative are clamped to zero
+    (a projected step, Bertsekas 1982, which can drop many points at once),
+    and then from the limit itself, where the blocking masses reach zero.
+    With Y = L^-1 X_S' W_S^1/2 for the Cholesky factor L of M(p),
+    log f(q) - log f(p) is the sum of log(1 + lambda) over the eigenvalues
+    of Y diag(q_S - p_S) Y', free of the rounding of two nearly equal
+    log-determinants."""
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.where(step < 0.0, p[S] / -step, np.inf)
     limit = float(room.min())
-    alpha = min(reach, limit)
+    alpha = reach if reach < np.inf else limit
     if not 0.0 < alpha < np.inf:
         return None
     for _ in range(_HALVINGS):
@@ -239,7 +238,7 @@ def _ascend(p, S, step, reach, Y):
         lam = np.linalg.eigvalsh((Y * (q[S] - p[S])) @ Y.T)
         if lam[0] > -1.0 and np.log1p(lam).sum() > 0.0:
             return q
-        alpha /= 2.0
+        alpha = max(alpha / 2.0, limit) if alpha > limit else alpha / 2.0
     return None
 
 

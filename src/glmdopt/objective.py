@@ -88,7 +88,9 @@ def allocation(p, m: int | None = None) -> np.ndarray:
     """Validate a proportion vector on the simplex.
 
     Entries must be nonnegative and sum to 1 within 1e-12; tiny float
-    drift is renormalized away rather than rejected.
+    drift is renormalized away rather than rejected.  The exact sum of
+    the result is 1 (its last rounding goes to the largest entry), so an
+    allocation comes back unchanged.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
@@ -99,10 +101,13 @@ def allocation(p, m: int | None = None) -> np.ndarray:
         raise NonFiniteInput("allocation contains non-finite entries")
     if np.any(p < 0):
         raise DimensionMismatch("allocation entries must be nonnegative")
-    s = float(p.sum())
+    s = math.fsum(p.tolist())
     if abs(s - 1.0) > MASS_ATOL:
         raise DimensionMismatch(f"allocation sums to {s!r}, not 1")
-    return p / s
+    p = p / s
+    for _ in range(2):  # an exact sum rounds to 1 after at most two corrections
+        p[np.argmax(p)] += 1.0 - math.fsum(p.tolist())
+    return p
 
 
 def is_integer(value) -> bool:

@@ -2,10 +2,10 @@
 
 The sweep alone used to reach ``max_rounds=1000`` on 11 of these 60 plain
 factorials and on the logit 2^7 start of ``optimize_exact`` without ever
-becoming stationary, so the Newton finish never ran; every tenth round
-now tries it.  Each problem certifies at its first or second try, in far
-fewer Newton steps than the 833 one try once took on binary-probit 2^6
-(slopes from seed 4) while its Newton steps were only rounding.
+becoming stationary, so the Newton finish never ran; every second round
+now tries it.  Each problem certifies at its first try, in round 2, in
+far fewer Newton steps than the 833 one try once took on binary-probit
+2^6 (slopes from seed 4) while its Newton steps were only rounding.
 """
 
 import itertools

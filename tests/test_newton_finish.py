@@ -1,6 +1,6 @@
-"""Lift-one ends in an active-set Newton finish once its sweep is stationary.
+"""Lift-one ends in an active-set Newton finish, tried every second round.
 
-The finish takes Newton steps on the support (plus the vertex direction)
+The finish takes Newton steps on the support (plus the vertex directions)
 until the optimality certificate holds; ``polish_steps`` counts them.
 On the published unique optima it must land where long coordinate
 ascent goes, and at least as high; on designs where coordinate ascent
@@ -123,7 +123,7 @@ def test_finish_certifies_from_arbitrary_starts():
         assert certified(p, leverages(X, w, information_inverse(X, w, p)), d), steps
 
 
-def test_finish_needs_a_stationary_sweep():
+def test_no_finish_in_round_one():
     X, _, w = logit_2x3()
     res = g.lift_one_optimize(X, w, opts=g.LiftOneOptions(max_rounds=1))
     assert not res.converged
