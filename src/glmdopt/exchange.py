@@ -13,11 +13,17 @@ improving exchange, refreshing M(n)^-1 after each; the algorithm
 terminates when a full pass changes nothing.  Exact-design exchange has
 no global-optimality guarantee, so ``optimize_exact`` multi-starts it and
 keeps the best allocation found.
+
+A pass scores its pairs in blocks of 2048: numpy screens a block for
+Fedorov's exchange criterion (``_Scan``) with a slack of 1e-10, far above
+the rounding of the pair arithmetic, and the pairs that pass are scored
+in order on plain floats.  The first accepted move is applied and the
+scan resumes after it, so the result is the pair-by-pair loop's, bit for
+bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +36,9 @@ from .objective import (allocation, design_problem, information_inverse, integer
                         spans, validated)
 
 _ACCEPT = 1.0 + 1e-12
+_BLOCK = 2048
+_SLACK = 1e-10
+_MAX_PASSES = 10_000
 
 
 @dataclass(frozen=True)
@@ -100,15 +109,23 @@ def maximize_pair(prof: PairProfile, current: int | None = None) -> tuple[int, f
         raise DesignError(
             f"maximize_pair needs A > 0, B,C,D >= 0, s > 0; got {prof}"
         )
+    return _best_split(A, B, C, D, s, -1 if current is None else current)
+
+
+def _best_split(A, B, C, D, s, current):
+    """``maximize_pair`` unchecked; a negative ``current`` prefers the
+    smaller z.  An affine profile (A <= 0, proportional rows) compares
+    its endpoints and keeps z = 0 on a tie."""
+    if not A > 0:
+        return (s, s * B + D) if s * B + D > s * C + D else (0, s * C + D)
     delta = (s * A + B - C) / (2.0 * A)
     if delta < 0:
         return 0, s * C + D
     if delta > s:
         return s, s * B + D
-
-    lo = int(np.floor(delta))
-    z = min((z for z in (lo, lo + 1) if z <= s),
-            key=lambda z: (abs(delta - z), z if current is None else abs(z - current), z))
+    z = math.floor(delta)
+    if z < s and (abs(delta - (z + 1)), abs(z + 1 - current)) < (abs(delta - z), abs(z - current)):
+        z += 1
     return z, s * C + D + (s * A + B - C) * z - A * z * z
 
 
@@ -129,7 +146,8 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     SingularDesign
         If the rows holding units under n0 do not span R^d.
     DesignError
-        If a pass ever changes the total (an internal invariant).
+        If a pass ever changes the total (an internal invariant), or if
+        the search has not settled after ``_MAX_PASSES`` passes.
     """
     X, w = design_problem(X, w)
     m = X.shape[0]
@@ -143,69 +161,97 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     require_spans(X, n, "starting exact design has a singular information matrix")
 
     rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(m), 2))
-    n = n.tolist()
-    # G stays current: it is refreshed after every accepted move
-    G = _pair_leverages(X, w, n)
-    for _ in range(10_000):
-        changed = False
-        for k in rng.permutation(len(pairs)).tolist():
-            i, j = pairs[k]
-            ni, nj = n[i], n[j]
-            if ni + nj == 0:
-                continue
-            z, ratio = _pair_move(G, i, j, ni, nj)
+    scan = _Scan(X, w, n)
+    P = len(scan.flat)
+    # pair orders of the current pass, then of the next once drawn
+    order, k, changed, passes = rng.permutation(P), 0, False, 1
+    while k < P or changed:
+        if k >= P:  # a pass with a move is over: the next one starts
+            if passes == _MAX_PASSES:
+                raise DesignError(f"exchange did not settle in {passes} passes")
+            order, k, changed, passes = order[P:], k - P, False, passes + 1
+            continue
+        # after a move the next pass runs under the same G, so it joins the block
+        stop = 2 * P if changed and passes < _MAX_PASSES else P
+        if len(order) < stop:
+            order = np.concatenate((order, rng.permutation(P)))
+        stop = min(k + _BLOCK, stop)
+        t = scan.first_move(order[k:stop])
+        if t is None:
+            k = stop
+        else:
+            k, changed = k + t + 1, True
+            if k > P:  # the move was in the next pass
+                order, k, passes = order[P:], k - P, passes + 1
+    if n.sum() != total:
+        raise DesignError(f"exchange changed the total from {total} to {n.sum()}")
+    return n
+
+
+def _pair_leverages(X, w, n, root=None):
+    """delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j (``root`` as in ``leverage_matrix``)."""
+    return leverage_matrix(X, w, information_inverse(X, w, np.array(n, dtype=float)), root)
+
+
+class _Scan:
+    """n, its G = ``_pair_leverages`` and the screen's per-point tables,
+    refreshed after every move.  With N = sum(n) and c = ``_SLACK``, a pair
+    moves towards i only if n_j > 0 and (1 + cN) delta_ij^2 + (1 + c)
+    delta_ii - (1 - c) delta_jj >= (1 - cN) delta_ii delta_jj (Fedorov's
+    |delta_ii - delta_jj| >= A with slack), and likewise towards j, as long
+    as G is accurate to c: positive semidefinite, with n_i delta_ii <= 1.
+    The tables hold these factors over 1 + cN."""
+
+    def __init__(self, X, w, n):
+        m, N, c = len(n), int(n.sum()), _SLACK
+        self.X, self.w, self.n, self.root = X, w, n, np.sqrt(np.outer(w, w))
+        points = np.arange(m)
+        self.rows, self.cols = np.nonzero(points[:, None] < points)  # itertools.combinations order
+        self.flat = self.rows * m + self.cols
+        self.factors = np.array([[1.0 + c], [1.0 - c], [1.0 - c * N]]) / (1.0 + c * N)
+        self.refresh()
+
+    def refresh(self):
+        self.G = _pair_leverages(self.X, self.w, self.n, self.root)
+        self.d = self.G.diagonal()
+        self.up, self.down, self.shrunk = self.d * self.factors
+        self.down[self.n == 0] = np.inf  # empty points give no units
+
+    def first_move(self, order):
+        """Apply the first accepted move among the pairs ``order`` and
+        return its position there, or None."""
+        I, J, d, G, n = self.rows[order], self.cols[order], self.d, self.G, self.n
+        up, down = self.up, self.down
+        q = G.ravel()[self.flat[order]]
+        q *= q
+        passed = q + np.maximum(up[I] - down[J], up[J] - down[I]) >= d[I] * self.shrunk[J]
+        for t in passed.nonzero()[0].tolist():  # in order, as the pair-by-pair loop scores them
+            i, j = int(I[t]), int(J[t])
+            ni, s = int(n[i]), int(n[i] + n[j])
+            coefs = _pair_coefficients(*map(float, (d[i], d[j], G[i, j], ni, s - ni)))
+            z, ratio = _best_split(*coefs, s, ni)
             if z != ni and ratio > _ACCEPT:
-                n[i] = z
-                n[j] = ni + nj - z
-                G = _pair_leverages(X, w, n)
-                changed = True
-        if sum(n) != total:
-            raise DesignError(f"exchange changed the total from {total} to {sum(n)}")
-        if not changed:
-            break
-    return np.array(n)
-
-
-def _pair_leverages(X, w, n):
-    """delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j as nested lists."""
-    return leverage_matrix(X, w, information_inverse(X, w, np.array(n, dtype=float))).tolist()
+                n[i], n[j] = z, s - z
+                self.refresh()
+                return t
+        return None
 
 
 def _scaled_pair_profile(G, n, i, j, s) -> PairProfile:
     """The pair quadratic of f_ij(z) / f(n)."""
-    return PairProfile(*_pair_coefficients(G, i, j, float(n[i]), float(n[j])), s=s)
+    A, B, C, D = _pair_coefficients(G[i, i], G[j, j], G[i, j], float(n[i]), float(n[j]))
+    return PairProfile(A, B, C, D, s)
 
 
-def _pair_coefficients(G, i, j, ni, nj):
+def _pair_coefficients(dii, djj, dij, ni, nj):
     """(A, B, C, D) of the pair quadratic of f_ij(z) / f(n).  In the new
     counts (u, v) Fedorov's identity is D + B u + C v + A u v, which along
     u + v = s is A z(s-z) + B z + C(s-z) + D."""
-    dii, djj, dij2 = G[i][i], G[j][j], G[i][j] ** 2
+    dij2 = dij ** 2
     B = max(dii * (1.0 - nj * djj) + nj * dij2, 0.0)
     C = max(djj * (1.0 - ni * dii) + ni * dij2, 0.0)
     D = max((1.0 - ni * dii) * (1.0 - nj * djj) - ni * nj * dij2, 0.0)
     return dii * djj - dij2, B, C, D
-
-
-def _pair_move(G, i, j, ni, nj):
-    """(z, f_ij(z) / f(n)) for the best split of pair (i, j), n_i + n_j > 0:
-    ``maximize_pair`` (current = n_i) on plain floats, with the same
-    arithmetic and tie-break.  An affine profile (A <= 0, proportional
-    rows) compares its endpoints and keeps z = 0 on a tie."""
-    s = ni + nj
-    A, B, C, D = _pair_coefficients(G, i, j, float(ni), float(nj))
-    if not A > 0:
-        return (s, s * B + D) if s * B + D > s * C + D else (0, s * C + D)
-    delta = (s * A + B - C) / (2.0 * A)
-    if delta < 0:
-        return 0, s * C + D
-    if delta > s:
-        return s, s * B + D
-    z = math.floor(delta)
-    if z < s and (abs(delta - (z + 1)), abs(z + 1 - ni)) < (abs(delta - z), abs(z - ni)):
-        z += 1
-    return z, s * C + D + (s * A + B - C) * z - A * z * z
 
 
 def round_allocation(p, total: int) -> np.ndarray:

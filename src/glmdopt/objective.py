@@ -121,14 +121,15 @@ def integer_allocation(n, total: int | None = None) -> np.ndarray:
     n = np.asarray(n)
     if n.ndim != 1:
         raise DimensionMismatch("integer allocation must be one-dimensional")
-    x = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("integer allocation contains non-finite entries")
-    n = np.round(x)
-    if np.any(x != n):
-        raise DimensionMismatch("integer allocation entries must be integers")
+    if n.dtype.kind not in "iu":  # integer arrays need no finiteness or rounding check
+        x = np.asarray(n, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteInput("integer allocation contains non-finite entries")
+        n = np.round(x)
+        if np.any(x != n):
+            raise DimensionMismatch("integer allocation entries must be integers")
     n = n.astype(int)
-    if np.any(n < 0):
+    if (n < 0).any():
         raise DimensionMismatch("integer allocation entries must be nonnegative")
     if total is not None and int(n.sum()) != int(total):
         raise DimensionMismatch(
@@ -234,10 +235,11 @@ def leverages(X, w, M_inv) -> np.ndarray:
     return w * np.einsum("ij,jk,ik->i", X, M_inv, X)
 
 
-def leverage_matrix(X, w, M_inv) -> np.ndarray:
+def leverage_matrix(X, w, M_inv, root=None) -> np.ndarray:
     """G = W^1/2 X M^-1 X' W^1/2, G_ij = sqrt(w_i w_j) x_i' M^-1 x_j; its
-    diagonal holds the leverages and -(G o G) is the Hessian of log f."""
-    return (X @ M_inv @ X.T) * np.sqrt(np.outer(w, w))
+    diagonal holds the leverages and -(G o G) is the Hessian of log f.
+    ``root`` is sqrt(w_i w_j), for callers that refresh G for one w."""
+    return (X @ M_inv @ X.T) * (np.sqrt(np.outer(w, w)) if root is None else root)
 
 
 def lift_coefficients(p, delta, d):
