@@ -204,8 +204,11 @@ def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
             <= det(X[I])^2 / w_i.
 
     By Cramer's rule det(X[{i} u I \\ {j}]) = det(X[I]) c_j with
-    c = X[I]^-T x_i, so one d x d solve gives every left-hand side.
-    Returns the verdict plus per-row margins.
+    c = X[I]^-T x_i, so one d x d solve gives every left-hand side.  Each
+    row is decided on sum_j c_j^2 / w_j <= 1 / w_i, with det(X[I])^2
+    cancelled, so the verdict holds at any scale of X; det(X[I])^2 only
+    enters the reported sides, which read 0 or inf where it leaves the
+    double range.  Returns the verdict plus per-row margins.
 
     Raises
     ------
@@ -231,11 +234,13 @@ def check_saturated(X, w, support) -> tuple[bool, tuple[SaturatedPoint, ...]]:
 
     rest = [i for i in range(m) if i not in support]
     X_I = X[support]
-    det2 = float(np.linalg.det(X_I)) ** 2
     C = np.linalg.solve(X_I.T, X[rest].T)
-    lhs = det2 * (C * C / w[support, None]).sum(axis=0)
-    details = []
-    for i, lhs_i in zip(rest, lhs.tolist()):
-        rhs = det2 / float(w[i])
-        details.append(SaturatedPoint(i, lhs_i, rhs, rhs - lhs_i, lhs_i <= rhs))
-    return all(pc.passed for pc in details), tuple(details)
+    ratio = (C * C / w[support, None]).sum(axis=0)  # lhs / det(X_I)^2
+    passed = ratio <= 1.0 / w[rest]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det2 = np.linalg.det(X_I) ** 2
+        lhs, rhs = det2 * ratio, det2 / w[rest]
+        margin = rhs - lhs
+    details = tuple(map(SaturatedPoint, rest, lhs.tolist(), rhs.tolist(), margin.tolist(),
+                        passed.tolist()))
+    return bool(passed.all()), details

@@ -9,7 +9,8 @@ whose integer maximum has a closed form.  The coefficients come from the
 leverages delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j by Fedorov's (1972)
 f(n + a e_i + b e_j) / f(n) = (1 + a delta_ii)(1 + b delta_jj) - ab delta_ij^2.
 A pass visits all C(m,2) pairs in random order and applies every
-improving exchange, refreshing M(n)^-1 after each; the algorithm
+improving exchange, refreshing the leverages after each as G = Y Y' from
+the whitened factor Y = W^1/2 X L^-T of M(n) = L L'; the algorithm
 terminates when a full pass changes nothing.  Exact-design exchange has
 no global-optimality guarantee, so ``optimize_exact`` multi-starts it and
 keeps the best allocation found.
@@ -31,9 +32,8 @@ import numpy as np
 
 from .errors import DesignError, DimensionMismatch, EmptyPair
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import (allocation, design_problem, information_inverse, integer_allocation,
-                        is_integer, leverage_matrix, log_objective, objective, require_spans,
-                        spans, validated)
+from .objective import (allocation, design_problem, integer_allocation, inverse_factor, is_integer,
+                        log_objective, objective, require_spans, spans, validated)
 
 _ACCEPT = 1.0 + 1e-12
 _BLOCK = 2048
@@ -163,34 +163,28 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     scan = _Scan(X, w, n)
     P = len(scan.flat)
-    # pair orders of the current pass, then of the next once drawn
-    order, k, changed, passes = rng.permutation(P), 0, False, 1
-    while k < P or changed:
-        if k >= P:  # a pass with a move is over: the next one starts
-            if passes == _MAX_PASSES:
-                raise DesignError(f"exchange did not settle in {passes} passes")
-            order, k, changed, passes = order[P:], k - P, False, passes + 1
-            continue
-        # after a move the next pass runs under the same G, so it joins the block
-        stop = 2 * P if changed and passes < _MAX_PASSES else P
-        if len(order) < stop:
-            order = np.concatenate((order, rng.permutation(P)))
-        stop = min(k + _BLOCK, stop)
-        t = scan.first_move(order[k:stop])
-        if t is None:
-            k = stop
-        else:
-            k, changed = k + t + 1, True
-            if k > P:  # the move was in the next pass
-                order, k, passes = order[P:], k - P, passes + 1
+    for _ in range(_MAX_PASSES):
+        order, k, changed = rng.permutation(P), 0, False
+        while k < P:
+            t = scan.first_move(order[k:k + _BLOCK])
+            if t is None:
+                k += _BLOCK
+            else:
+                k, changed = k + t + 1, True
+        if not changed:
+            break
+    else:
+        raise DesignError(f"exchange did not settle in {_MAX_PASSES} passes")
     if n.sum() != total:
         raise DesignError(f"exchange changed the total from {total} to {n.sum()}")
     return n
 
 
-def _pair_leverages(X, w, n, root=None):
-    """delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j (``root`` as in ``leverage_matrix``)."""
-    return leverage_matrix(X, w, information_inverse(X, w, np.array(n, dtype=float)), root)
+def _pair_leverages(X, w, n):
+    """G = Y Y' with Y = W^1/2 X L^-T for the Cholesky factor L of M(n), so
+    G_ij = delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j."""
+    Y = (X * np.sqrt(w)[:, None]) @ inverse_factor(X, w, np.array(n, dtype=float)).T
+    return Y @ Y.T.copy()  # a plain GEMM: numpy's symmetric product of Y with itself is slower
 
 
 class _Scan:
@@ -204,7 +198,7 @@ class _Scan:
 
     def __init__(self, X, w, n):
         m, N, c = len(n), int(n.sum()), _SLACK
-        self.X, self.w, self.n, self.root = X, w, n, np.sqrt(np.outer(w, w))
+        self.X, self.w, self.n = X, w, n
         points = np.arange(m)
         self.rows, self.cols = np.nonzero(points[:, None] < points)  # itertools.combinations order
         self.flat = self.rows * m + self.cols
@@ -212,7 +206,7 @@ class _Scan:
         self.refresh()
 
     def refresh(self):
-        self.G = _pair_leverages(self.X, self.w, self.n, self.root)
+        self.G = _pair_leverages(self.X, self.w, self.n)
         self.d = self.G.diagonal()
         self.up, self.down, self.shrunk = self.d * self.factors
         self.down[self.n == 0] = np.inf  # empty points give no units
@@ -247,7 +241,7 @@ def _pair_coefficients(dii, djj, dij, ni, nj):
     """(A, B, C, D) of the pair quadratic of f_ij(z) / f(n).  In the new
     counts (u, v) Fedorov's identity is D + B u + C v + A u v, which along
     u + v = s is A z(s-z) + B z + C(s-z) + D."""
-    dij2 = dij ** 2
+    dij2 = dij * dij  # not ** 2, which is libm's pow and may differ in the last bit
     B = max(dii * (1.0 - nj * djj) + nj * dij2, 0.0)
     C = max(djj * (1.0 - ni * dii) + ni * dij2, 0.0)
     D = max((1.0 - ni * dii) * (1.0 - nj * djj) - ni * nj * dij2, 0.0)

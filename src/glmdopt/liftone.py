@@ -31,8 +31,7 @@ import numpy as np
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch
 from .objective import (allocation, design_problem, information_inverse, inverse_factor,
-                        is_integer, leverage_matrix, leverages, objective, require_spans,
-                        validated)
+                        is_integer, leverages, objective, require_spans, validated)
 
 # A point leaves the support before a Newton step when its mass is below
 # this fraction of the mass the step takes from it.
@@ -133,8 +132,9 @@ def _finish(X, w, p, d):
 
     On the support S plus every outside point with delta_i > d (the
     vertex directions), log f has gradient delta_S and Hessian
-    -(G_S o G_S), and ``_directions`` turns the quadratic model under
-    sum_S p = 1 into steps, which ``_ascend`` shortens until log f
+    -(G_S o G_S), where G_S = Y'Y for Y = L^-1 X_S' W_S^1/2 and the
+    Cholesky factor L of M(p).  ``_directions`` turns the quadratic model
+    under sum_S p = 1 into steps, which ``_ascend`` shortens until log f
     strictly rises.  Returns (p, steps, True) once ``certified`` holds on
     the leverages of the last step, or (p, steps, False) when no
     direction raises log f.
@@ -142,13 +142,12 @@ def _finish(X, w, p, d):
     steps = 0
     while True:
         L_inv = inverse_factor(X, w, p)
-        M_inv = L_inv.T @ L_inv
-        delta = leverages(X, w, M_inv)
+        delta = leverages(X, w, L_inv.T @ L_inv)
         if certified(p, delta, d):
             return p, steps, True
         S = np.flatnonzero((p > 0.0) | (delta > d))
-        K = leverage_matrix(X[S], w[S], M_inv) ** 2
         Y = L_inv @ (X[S].T * np.sqrt(w[S]))
+        K = (Y.T @ Y.copy()) ** 2  # a plain GEMM: numpy's symmetric Y'Y is slower
         for step, reach in _directions(p[S], delta[S], K):
             q = _ascend(p, S, step, reach, Y)
             if q is not None:

@@ -8,10 +8,11 @@ an order-d homogeneous polynomial in p.  This module owns input
 validation, the singularity test, the determinant objective and its
 subset-expansion oracle, single-coordinate lift profiles, and relative
 efficiency.  The optimizers and the certificate share one kernel, the
-Cholesky factor of M(p), which gives M(p)^-1, the leverages
-delta_i = w_i x_i' M(p)^-1 x_i and log f(p) at any weight scale; the
-determinant forms stay as the independent oracles the tests check them
-against.
+Cholesky factor L of M(p), which gives M(p)^-1, the leverages
+delta_i = w_i x_i' M(p)^-1 x_i and log f(p) at any weight scale, and the
+whitened factor Y = W^1/2 X L^-T whose Gram matrix Y Y' holds the pair
+leverages delta_ij; the determinant forms stay as the independent
+oracles the tests check them against.
 """
 
 from __future__ import annotations
@@ -233,13 +234,6 @@ def log_objective(X, w, p) -> float:
 def leverages(X, w, M_inv) -> np.ndarray:
     """delta_i = w_i x_i' M^-1 x_i for every row of X."""
     return w * np.einsum("ij,jk,ik->i", X, M_inv, X)
-
-
-def leverage_matrix(X, w, M_inv, root=None) -> np.ndarray:
-    """G = W^1/2 X M^-1 X' W^1/2, G_ij = sqrt(w_i w_j) x_i' M^-1 x_j; its
-    diagonal holds the leverages and -(G o G) is the Hessian of log f.
-    ``root`` is sqrt(w_i w_j), for callers that refresh G for one w."""
-    return (X @ M_inv @ X.T) * (np.sqrt(np.outer(w, w)) if root is None else root)
 
 
 def lift_coefficients(p, delta, d):

@@ -36,7 +36,6 @@ P25 = g.lift_one_optimize(X25, W25).p_opt
 U25 = np.full(len(X25), 1.0 / len(X25))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
 @PROPERTY
 @given(k=st.integers(-100, 100))
 def test_weight_scaling_leaves_lift_one_and_certificate_unchanged(k):
@@ -51,7 +50,6 @@ def test_weight_scaling_leaves_lift_one_and_certificate_unchanged(k):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e60, 1e100])
 def test_weight_scaling_leaves_exact_design_unchanged(scale):
     n = g.optimize_exact(X25, W25, 1000)
@@ -102,3 +100,15 @@ def test_reparametrisation_leaves_optimum_unchanged(case, data):
     res = g.lift_one_optimize(X @ A, w)
     assert res.converged and base.converged
     assert np.max(np.abs(res.p_opt - base.p_opt)) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-110, 1.0, 1e110])
+def test_saturated_verdict_does_not_depend_on_the_scale_of_X(scale):
+    # X -> scale * X is a reparametrisation; det(X_I)^2 then leaves the
+    # double range, which must not decide the verdict (pytest turns a
+    # RuntimeWarning into an error)
+    X, w = PUBLISHED["poisson-A"]()
+    for support in itertools.combinations(range(len(X)), X.shape[1]):
+        assert not g.check_saturated(X * scale, w, support)[0]
+    X, w = PUBLISHED["gamma-2x4"]()
+    assert g.check_saturated(X * scale, w, (0, 4, 5, 6, 7))[0]
