@@ -152,9 +152,13 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
 
     Raises
     ------
+    DimensionMismatch
+        If tol is not positive and finite.
     SingularDesign
         If the rows carrying mass under p do not span R^d.
     """
+    if not 0.0 < tol < np.inf:
+        raise DimensionMismatch(f"tol must be positive and finite, got {tol!r}")
     X, w = design_problem(X, w)
     m, d = X.shape
     p = allocation(p, m)

@@ -2,9 +2,14 @@
 
 One JSON config document describes the problem (design matrix, family,
 beta or prior, options).  One pipeline in ``main`` serves every
-subcommand: it loads and checks the config and the matrix once, runs the
-command and prints a human-readable report or machine-readable JSON
-(--out json), byte-identical across runs with the same config and seed.
+subcommand: it loads and checks the config and the matrix once, and
+resolves the seed (None unless --seed or the config sets one) and the
+weights once: the GLM weights at beta or the expected weights under the
+prior, whichever ``_COMMANDS`` says the subcommand takes.  It then runs
+the command on them and prints a human-readable report or
+machine-readable JSON (--out json), byte-identical across runs with the
+same config and seed.  The 'ew' subcommand is 'optimize' on the expected
+weights.
 
 Exit codes: 0 success, 2 configuration or input error (every config,
 matrix or allocation mistake), 3 numerical failure (singular design,
@@ -28,7 +33,7 @@ import numpy as np
 
 from .certify import verify_optimal
 from .errors import ConfigError, DesignError, SingularDesign, UnsupportedCombination
-from .ew import PointPrior, UniformPrior, ew_optimize, expected_weights
+from .ew import PointPrior, UniformPrior, expected_weights
 from .exchange import optimize_exact
 from .liftone import LiftOneOptions, lift_one_optimize
 from .objective import design_matrix, is_integer, objective, relative_efficiency, spans, validated
@@ -148,11 +153,6 @@ def _parse_prior(spec) -> tuple:
     return tuple(comps)
 
 
-def _check_exactly_one(cfg: dict):
-    if ("beta" in cfg) == ("prior" in cfg):
-        raise ConfigError("config must contain exactly one of 'beta' or 'prior'")
-
-
 def _family(cfg: dict) -> tuple[str, dict]:
     """The family_link and its optional 'shape' and 'variance' as floats."""
     fam = cfg.get("family_link")
@@ -164,7 +164,57 @@ def _family(cfg: dict) -> tuple[str, dict]:
                  for key in ("shape", "variance")}
 
 
-def _model(cfg: dict, X) -> GlmModel:
+def _block(cfg: dict, key: str, allowed: tuple) -> dict:
+    """The optional sub-object cfg[key]; its keys must be among ``allowed``."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    extra = set(block) - set(allowed)
+    if extra:
+        raise ConfigError(  # "unknown option keys", "unknown ew keys"
+            f"unknown {key.rstrip('s')} keys {sorted(extra)}; supported: {list(allowed)}"
+        )
+    return block
+
+
+def _resolve_seed(cfg: dict, args) -> int | None:
+    """The seed of --seed, else of the config; None when neither sets one,
+    where lift-one and exchange use seed 0 and Monte Carlo refuses to run."""
+    if args.seed is None and "seed" not in cfg:
+        return None
+    seed = cfg["seed"] if args.seed is None else args.seed
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError("'seed' must be a non-negative integer")
+    return seed
+
+
+def _expected_weights(cfg: dict, X, seed: int | None):
+    fam, constants = _family(cfg)
+    prior = _parse_prior(cfg["prior"])
+    block = _block(cfg, "ew", _EW_KEYS)
+    method = block.get(
+        "method", "closed-form-poisson" if fam == "poisson-log" else "monte-carlo"
+    )
+    samples = block.get("samples", 100_000)
+    if not (is_integer(samples) and samples >= 1):
+        raise ConfigError("'ew.samples' must be a positive integer")
+    if method == "monte-carlo" and seed is None:
+        raise ConfigError(
+            "monte-carlo expected weights need an explicit seed "
+            "(config 'seed' or --seed)"
+        )
+    ew = expected_weights(X, fam, prior, method=method, samples=samples, seed=seed, **constants)
+    return ew, method
+
+
+def _weights(cfg: dict, X, seed: int | None, takes: str | None):
+    """(w, source) for a command that ``takes`` 'beta', 'prior' or either
+    (None): the GLM weights and their ``GlmModel``, or the expected weights
+    and their method."""
+    if takes == "prior" and "prior" not in cfg:
+        raise ConfigError("the 'ew' subcommand needs 'prior' in the config")
+    if takes != "beta" and "prior" in cfg:
+        return _expected_weights(cfg, X, seed)
     fam, constants = _family(cfg)
     if "beta" not in cfg:
         raise ConfigError(
@@ -181,72 +231,7 @@ def _model(cfg: dict, X) -> GlmModel:
         raise ConfigError(f"bad model: {exc}")
     if model.d != X.shape[1]:
         raise ConfigError(f"design matrix has {X.shape[1]} columns but 'beta' has length {model.d}")
-    return model
-
-
-def _block(cfg: dict, key: str, allowed: tuple) -> dict:
-    """The optional sub-object cfg[key]; its keys must be among ``allowed``."""
-    block = cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    extra = set(block) - set(allowed)
-    if extra:
-        raise ConfigError(  # "unknown option keys", "unknown ew keys"
-            f"unknown {key.rstrip('s')} keys {sorted(extra)}; supported: {list(allowed)}"
-        )
-    return block
-
-
-def _options(cfg: dict, seed: int) -> LiftOneOptions:
-    opts = _block(cfg, "options", _OPTION_KEYS)
-    try:
-        return LiftOneOptions(seed=seed, **opts)
-    except (DesignError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad options: {exc}")
-
-
-def _resolve_seed(cfg: dict, args) -> tuple[int, bool]:
-    """Effective seed and whether the user set one explicitly."""
-    if args.seed is None and "seed" not in cfg:
-        return 0, False
-    seed = cfg["seed"] if args.seed is None else args.seed
-    if not (is_integer(seed) and seed >= 0):
-        raise ConfigError("'seed' must be a non-negative integer")
-    return seed, True
-
-
-def _expected_weights(cfg: dict, X, seed: int, seed_given: bool):
-    fam, constants = _family(cfg)
-    prior = _parse_prior(cfg["prior"])
-    block = _block(cfg, "ew", _EW_KEYS)
-    method = block.get(
-        "method", "closed-form-poisson" if fam == "poisson-log" else "monte-carlo"
-    )
-    samples = block.get("samples", 100_000)
-    if not (is_integer(samples) and samples >= 1):
-        raise ConfigError("'ew.samples' must be a positive integer")
-    if method == "monte-carlo" and not seed_given:
-        raise ConfigError(
-            "monte-carlo expected weights need an explicit seed "
-            "(config 'seed' or --seed)"
-        )
-    ew = expected_weights(
-        X,
-        fam,
-        prior,
-        method=method,
-        samples=samples,
-        seed=seed if method == "monte-carlo" else None,
-        **constants,
-    )
-    return ew, method
-
-
-def _weight_vector(cfg: dict, X, seed: int, seed_given: bool) -> np.ndarray:
-    """w from beta if present, else expected weights from the prior."""
-    if "beta" in cfg:
-        return compute_weights(X, _model(cfg, X))
-    return _expected_weights(cfg, X, seed, seed_given)[0]
+    return compute_weights(X, model), model
 
 
 def _load_allocation(path: str, m: int) -> np.ndarray:
@@ -304,44 +289,37 @@ def _fmt_vec(v, nd=3):
     return "  ".join(f"{x:.{nd}f}" for x in v)
 
 
-def cmd_weights(cfg: dict, X, seed: int, seed_given: bool, args):
-    if "beta" in cfg:
-        model = _model(cfg, X)
-        w = compute_weights(X, model)
-        eta = X @ model.beta
-        report = {
-            "command": "weights",
-            "family_link": model.family_link,
-            "eta": eta.tolist(),
-            "weights": w.tolist(),
-        }
+def cmd_weights(cfg: dict, X, w, source, seed, args):
+    if isinstance(source, GlmModel):
+        eta = X @ source.beta
+        report = {"eta": eta.tolist(), "weights": w.tolist()}
         lines = ["row        eta         weight"]
-        lines += [
-            f"{i:3d} {eta[i]:10.3f} {w[i]:14.6g}" for i in range(len(w))
-        ]
+        lines += [f"{i:3d} {eta[i]:10.3f} {w[i]:14.6g}" for i in range(len(w))]
     else:
-        ew, method = _expected_weights(cfg, X, seed, seed_given)
-        report = {
-            "command": "weights",
-            "family_link": cfg["family_link"],
-            "method": method,
-            "expected_weights": ew.tolist(),
-        }
-        lines = [f"expected weights ({method})", "row         weight"]
-        lines += [f"{i:3d} {ew[i]:14.6g}" for i in range(len(ew))]
+        report = {"method": source, "expected_weights": w.tolist()}
+        lines = [f"expected weights ({source})", "row         weight"]
+        lines += [f"{i:3d} {w[i]:14.6g}" for i in range(len(w))]
+    report.update(command="weights", family_link=cfg["family_link"])
     return report, lines, EXIT_OK
 
 
-def _optimize_report(command, res, **extra):
+def cmd_optimize(cfg: dict, X, w, source, seed, args):
+    """Lift-one on w: the D-optimal design at beta, or under a prior (the
+    'ew' subcommand) the expected-weight design."""
+    opts = _block(cfg, "options", _OPTION_KEYS)
+    try:
+        opts = LiftOneOptions(seed=seed or 0, **opts)
+    except (DesignError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad options: {exc}")
+    res = lift_one_optimize(_spanning(X), w, opts=opts)
     report = {
-        "command": command,
+        "command": args.command,
         "p": res.p_opt.tolist(),
         "f": res.f_opt,
         "rounds": res.rounds,
         "polish_steps": res.polish_steps,
         "converged": res.converged,
         "optimal": res.certificate.optimal,
-        **extra,
     }
     lines = [
         f"p (3 decimals): {_fmt_vec(res.p_opt)}",
@@ -350,17 +328,13 @@ def _optimize_report(command, res, **extra):
         f"rounds = {res.rounds}, polish steps = {res.polish_steps}",
         f"converged = {res.converged}, certificate optimal = {res.certificate.optimal}",
     ]
+    if not isinstance(source, GlmModel):
+        report.update(expected_weights=w.tolist(), method=source)
+        lines.insert(0, f"expected weights ({source}): {_fmt_vec(w)}")
     return report, lines, EXIT_OK if res.converged else EXIT_NO_CONVERGE
 
 
-def cmd_optimize(cfg: dict, X, seed: int, seed_given: bool, args):
-    w = compute_weights(X, _model(cfg, X))
-    opts = _options(cfg, seed)
-    return _optimize_report("optimize", lift_one_optimize(_spanning(X), w, opts=opts))
-
-
-def cmd_exact(cfg: dict, X, seed: int, seed_given: bool, args):
-    w = compute_weights(X, _model(cfg, X))
+def cmd_exact(cfg: dict, X, w, source, seed, args):
     total = cfg.get("total")
     if not (is_integer(total) and total >= X.shape[1]):
         raise ConfigError(
@@ -369,7 +343,7 @@ def cmd_exact(cfg: dict, X, seed: int, seed_given: bool, args):
     n_starts = cfg.get("n_starts", 5)
     if not (is_integer(n_starts) and n_starts >= 1):
         raise ConfigError("'n_starts' must be a positive integer")
-    n = optimize_exact(_spanning(X), w, total, seed=seed, n_starts=n_starts)
+    n = optimize_exact(_spanning(X), w, total, seed=seed or 0, n_starts=n_starts)
     f = objective(X, w, n)
     report = {
         "command": "exact",
@@ -385,8 +359,7 @@ def cmd_exact(cfg: dict, X, seed: int, seed_given: bool, args):
     return report, lines, EXIT_OK
 
 
-def cmd_verify(cfg: dict, X, seed: int, seed_given: bool, args):
-    w = _weight_vector(cfg, X, seed, seed_given)
+def cmd_verify(cfg: dict, X, w, source, seed, args):
     p = _load_allocation(args.allocation, X.shape[0])
     cert = verify_optimal(_spanning(X, p), w, p)
     report = {
@@ -405,8 +378,7 @@ def cmd_verify(cfg: dict, X, seed: int, seed_given: bool, args):
     return report, lines, EXIT_OK
 
 
-def cmd_efficiency(cfg: dict, X, seed: int, seed_given: bool, args):
-    w = _weight_vector(cfg, X, seed, seed_given)
+def cmd_efficiency(cfg: dict, X, w, source, seed, args):
     p_test = _load_allocation(args.test_allocation, X.shape[0])
     p_ref = _load_allocation(args.ref_allocation, X.shape[0])
     eff = relative_efficiency(_spanning(X, p_ref), w, p_test, p_ref)
@@ -420,27 +392,16 @@ def cmd_efficiency(cfg: dict, X, seed: int, seed_given: bool, args):
     return report, lines, EXIT_OK
 
 
-def cmd_ew(cfg: dict, X, seed: int, seed_given: bool, args):
-    if "prior" not in cfg:
-        raise ConfigError("the 'ew' subcommand needs 'prior' in the config")
-    ew, method = _expected_weights(cfg, X, seed, seed_given)
-    opts = _options(cfg, seed)
-    res = ew_optimize(_spanning(X), ew, opts=opts)
-    report, lines, code = _optimize_report(
-        "ew", res, expected_weights=ew.tolist(), method=method,
-    )
-    lines.insert(0, f"expected weights ({method}): {_fmt_vec(ew)}")
-    return report, lines, code
-
-
-# (cfg, X, seed, seed_given, args) -> (report, text lines, exit code)
+# subcommand -> (command, the weights it takes: 'beta', 'prior' or None for
+# either); a command maps (cfg, X, w, source, seed, args), with w and its
+# source from ``_weights``, to (report, text lines, exit code)
 _COMMANDS = {
-    "weights": cmd_weights,
-    "optimize": cmd_optimize,
-    "exact": cmd_exact,
-    "verify": cmd_verify,
-    "efficiency": cmd_efficiency,
-    "ew": cmd_ew,
+    "weights": (cmd_weights, None),
+    "optimize": (cmd_optimize, "beta"),
+    "exact": (cmd_exact, "beta"),
+    "verify": (cmd_verify, None),
+    "efficiency": (cmd_efficiency, None),
+    "ew": (cmd_optimize, "prior"),
 }
 
 
@@ -481,10 +442,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         X = _load_matrix(cfg)
-        _check_exactly_one(cfg)
-        seed, seed_given = _resolve_seed(cfg, args)
+        if ("beta" in cfg) == ("prior" in cfg):
+            raise ConfigError("config must contain exactly one of 'beta' or 'prior'")
+        seed = _resolve_seed(cfg, args)
+        command, takes = _COMMANDS[args.command]
         # X is checked once, above: the library skips its own input checks
-        report, lines, code = validated(_COMMANDS[args.command], cfg, X, seed, seed_given, args)
+        w, source = validated(_weights, cfg, X, seed, takes)
+        report, lines, code = validated(command, cfg, X, w, source, seed, args)
     except (ConfigError, UnsupportedCombination, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -292,17 +292,13 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
                 else:  # z = 1, possible only for d = 1: all mass on row i
                     M_inv = information_inverse(X, w, p)
                 improved = True
-        if not improved:
-            break
-        if rounds % _FINISH_EVERY == 0:
-            q, steps, finished = _finish(X, w, p, d)
-            polish_steps += steps
-            if finished:
-                p = q
-                break
-    if not improved:  # a stationary sweep ends in the finish
-        p, steps, finished = _finish(X, w, p, d)
+        if improved and rounds % _FINISH_EVERY:
+            continue
+        q, steps, finished = _finish(X, w, p, d)
         polish_steps += steps
+        if finished or not improved:  # a stationary sweep ends in the finish
+            p = q
+            break
 
     certificate = validated(verify_optimal, X, w, p)
     p = certificate.per_point.p  # normalized and read-only: one copy for both

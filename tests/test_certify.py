@@ -167,3 +167,12 @@ def test_check_saturated_validation():
         g.check_saturated(X, w, (0, 1, 6))
     with pytest.raises(g.DimensionMismatch):
         g.check_saturated(X, w[:5], (0, 1, 3))
+
+
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1e-7, np.nan])
+def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # p is far from optimal: tol = inf used to certify it all the same
+    X, w, p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3), [0.98, 0.01, 0.01]
+    assert not g.verify_optimal(X, w, p).optimal
+    with pytest.raises(g.DimensionMismatch, match="tol"):
+        g.verify_optimal(X, w, p, tol=tol)
