@@ -335,6 +335,9 @@ def cmd_optimize(cfg: dict, X, w, source, seed, args):
 
 
 def cmd_exact(cfg: dict, X, w, source, seed, args):
+    if "options" in cfg:
+        raise ConfigError("'options' applies to optimize only; exact starts "
+                          "from lift-one under default options")
     total = cfg.get("total")
     if not (is_integer(total) and total >= X.shape[1]):
         raise ConfigError(

@@ -126,3 +126,16 @@ def test_command_line_seed_must_be_non_negative(tmp_path, capsys, command):
     err = config_error(capsys, [command, "--config", cfg, "--seed", "-1"])
     assert "'seed' must be a non-negative integer" in err
     assert cli.main([command, "--config", cfg, "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"bogus": 1}, "unknown option keys"),
+    ({"max_rounds": 0}, "bad options"),
+    ({"tol": -1.0}, "bad options"),
+    ([1], "'options' must be an object"),
+])
+def test_options_block_is_checked_by_optimize_and_refused_by_exact(tmp_path, capsys, options, message):
+    cfg = config(tmp_path, options=options, total=10)
+    assert message in config_error(capsys, ["optimize", "--config", cfg])
+    # exact's lift-one start runs under default options, so a block would be ignored
+    assert "'options' applies to optimize only" in config_error(capsys, ["exact", "--config", cfg])
