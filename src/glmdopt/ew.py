@@ -9,9 +9,9 @@ For poisson-log the expectation separates into a product of univariate
 moment generating functions and is computed in closed form.  Every other
 family uses Monte Carlo over a fixed set of 32 sub-streams spawned from
 the seed.  Each stream draws its coefficients exactly as a serial loop
-would, evaluates eta and nu in row chunks of a few thousand draws (small
-enough to stay in cache and to keep BLAS on its small-matrix path), and
-sums its own weights; the 32 stream sums are then added in stream order.
+would, evaluates eta and nu in place on one workspace, in blocks of
+``_MC_BLOCK`` values that stay in L2 and keep BLAS on its small-matrix path,
+and sums its own weights; the 32 stream sums are then added in stream order.
 The streams run on a thread pool with one worker per available CPU (numpy
 releases the interpreter lock inside its loops), and since no sum crosses
 a stream boundary the estimate is bit-identical for any worker count.
@@ -30,13 +30,14 @@ import numpy as np
 from .errors import ConfigError, NonFiniteInput, NonPositiveWeight, UnsupportedCombination
 from .liftone import LiftOneOptions, LiftOneResult, lift_one_optimize
 from .objective import design_matrix, is_integer
-from .weights import FAMILY_LINKS, WEIGHT_FLOOR, nu_array
+from .weights import FAMILY_LINKS, WEIGHT_FLOOR, _nu_into
 
-_MC_BLOCKS = 32
-# Draws per eta/nu evaluation inside a stream: an (m x 4096) block of eta
-# stays in cache, where whole-stream products were seen to take 100x
-# longer under OpenBLAS threading.
-_MC_CHUNK = 4096
+_MC_STREAMS = 32
+# Values of eta per block, max(1, _MC_BLOCK // m) draws of all m rows: the
+# block and its scratch arrays stay in L2 at any m (12288 and 24576 were
+# slower at m = 6 and m = 128, 98304 within 5% at twice the memory), where
+# whole-stream products were seen to take 100x longer under OpenBLAS threading.
+_MC_BLOCK = 49152
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,14 @@ def _stream_sum(child, nb, prior, X, family_link, shape, variance) -> np.ndarray
             draws[j] = rng.uniform(comp.lo, comp.hi, nb)
         else:
             draws[j] = comp.value
-    acc = np.zeros(X.shape[0])
-    for start in range(0, nb, _MC_CHUNK):
-        eta = X @ draws[:, start:start + _MC_CHUNK]
-        acc += nu_array(family_link, eta, shape=shape, variance=variance).sum(axis=1)
+    m = X.shape[0]
+    step = max(1, _MC_BLOCK // m)
+    acc, work = np.zeros(m), np.empty((4, step * m))  # eta and its scratch arrays
+    for start in range(0, nb, step):
+        n = min(step, nb - start)
+        eta, *scratch = (buf[:m * n].reshape(m, n) for buf in work)
+        np.matmul(X, draws[:, start:start + n], out=eta)
+        acc += _nu_into(family_link, eta, *scratch, shape, variance).sum(axis=1)
     return acc
 
 
@@ -163,9 +168,9 @@ def expected_weights(
             raise ConfigError(f"samples must be a positive integer, got {samples!r}")
         from concurrent.futures import ThreadPoolExecutor
 
-        children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
-        base, extra = divmod(int(samples), _MC_BLOCKS)
-        sizes = [base + (1 if k < extra else 0) for k in range(_MC_BLOCKS)]
+        children = np.random.SeedSequence(seed).spawn(_MC_STREAMS)
+        base, extra = divmod(int(samples), _MC_STREAMS)
+        sizes = [base + (1 if k < extra else 0) for k in range(_MC_STREAMS)]
         streams = [(child, nb) for child, nb in zip(children, sizes) if nb > 0]
         with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(streams))) as pool:
             sums = list(pool.map(

@@ -24,6 +24,7 @@ every try.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +67,9 @@ class LiftOneOptions:
             raise DimensionMismatch("seed must be a non-negative integer")
         if not (is_integer(self.max_rounds) and self.max_rounds >= 1):
             raise DimensionMismatch("max_rounds must be a positive integer")
-        if not self.tol > 0:
-            raise DimensionMismatch("tol must be positive")
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+            raise DimensionMismatch(f"tol must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True)

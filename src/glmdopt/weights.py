@@ -17,9 +17,9 @@ gamma-inverse      k / eta^2
 normal-identity    1 / sigma^2
 =================  =====================================
 
-``nu_array`` evaluates each of these on whole arrays, with no per-element
-branches: it is the one table behind ``compute_weights``, ``nu_eval`` and
-Monte Carlo expected weights, where it runs on about 10^6 draws per row.
+``_nu_into`` evaluates each of these in place on whole arrays, with no
+per-element branches: it is the one table, run by ``nu_array`` on a copy of
+eta and by Monte Carlo expected weights on about 10^6 draws per row.
 The four binary links stay within 1e-12 relative of a 400-digit
 evaluation wherever the weight is at least ``WEIGHT_FLOOR`` (eta in
 [-745, 745]; ``tests/test_nu_accuracy.py``).  Probit takes its tail from
@@ -120,47 +120,51 @@ class GlmModel:
                 raise NonFiniteInput("normal-identity requires variance > 0")
 
 
-def _horner(coeffs, t: np.ndarray) -> np.ndarray:
-    """The polynomial with these coefficients (constant term first) at t."""
-    acc = np.full_like(t, coeffs[-1])
+def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients (constant term first) at t, in out."""
+    out.fill(coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc *= t
-        acc += c
-    return acc
+        out *= t
+        out += c
+    return out
 
 
-def nu_array(family_link: str, eta, shape=None, variance=None) -> np.ndarray:
-    """Vectorized, tail-safe nu(eta): the one weight table behind
-    ``compute_weights``, ``nu_eval`` and Monte Carlo expected weights.
-    Weights below the smallest double come back as exact zeros; no
-    finite eta gives inf or NaN, except eta = 0 for gamma-inverse."""
-    eta = np.asarray(eta, dtype=float)
+def _nu_into(family_link: str, eta, a, b, c, shape=None, variance=None) -> np.ndarray:
+    """Overwrite the float array eta with nu(eta) and return it, using only
+    the scratch arrays a, b and c of its shape (c for cloglog's two logs)."""
     if family_link == "binary-logit":
         # 1/(2 + e^eta + e^-eta) with the large exponential factored out
-        t = np.exp(-np.abs(eta))
-        return t / (1.0 + t) ** 2
+        t = np.exp(np.negative(np.abs(eta, out=eta), out=eta), out=eta)
+        s = np.add(t, 1.0, out=a)
+        return np.divide(t, np.square(s, out=s), out=t)
     if family_link == "binary-probit":
         # phi^2 / (Phi (1 - Phi)) = phi / (R (1 - phi R)) at t = |eta|, where
         # phi R = Phi(-t) is the smaller tail.
-        t = np.minimum(np.abs(eta), _PROBIT_ETA_ZERO)
-        r = _horner(_MILLS_P, t)
-        r /= _horner(_MILLS_Q, t)
+        t = np.minimum(np.abs(eta, out=eta), _PROBIT_ETA_ZERO, out=eta)
+        r = _horner(_MILLS_P, t, a)
+        r /= _horner(_MILLS_Q, t, b)
+        phi = np.multiply(np.multiply(t, -0.5, out=b), t, out=b)
         with np.errstate(under="ignore"):
-            phi = np.exp(-0.5 * t * t) / _SQRT_2PI
-            return phi / (r * (1.0 - phi * r))
+            phi = np.divide(np.exp(phi, out=phi), _SQRT_2PI, out=phi)
+            rest = np.subtract(1.0, np.multiply(phi, r, out=eta), out=eta)
+            return np.divide(phi, np.multiply(rest, r, out=rest), out=rest)
     if family_link == "binary-cloglog":
         # expm1(u) * L^2 with u = e^eta and L = log(1 - e^-u), computed as
         # (1 - e^-u) * (L / h)^2 with h = e^(-u/2), so that no factor
         # overflows before eta reaches _ETA_NU_ZERO.  L is split at u = ln 2:
-        # log1p(-e^-u) above, log(1 - e^-u) below.  The _TINY floor only
+        # log1p(-h * h) above, log(1 - e^-u) below.  The _TINY floor only
         # keeps the log finite where u has underflowed to 0, and there the
         # leading factor 1 - e^-u is 0.
         with np.errstate(under="ignore", divide="ignore"):
-            u = np.exp(np.minimum(eta, _ETA_NU_ZERO))
-            h = np.exp(-0.5 * u)
-            v = -np.expm1(-u)
-            log_v = np.where(u > _LN2, np.log1p(-h * h), np.log(np.maximum(v, _TINY)))
-            return v * (log_v / h) ** 2
+            u = np.exp(np.minimum(eta, _ETA_NU_ZERO, out=eta), out=eta)
+            above = u > _LN2
+            h = np.exp(np.multiply(u, -0.5, out=a), out=a)
+            v = np.negative(np.expm1(np.negative(u, out=eta), out=eta), out=eta)
+            log_v = np.log(np.maximum(v, _TINY, out=b), out=b)
+            upper = np.negative(np.multiply(h, h, out=c), out=c)
+            np.copyto(log_v, np.log1p(upper, out=upper), where=above)
+            log_v /= h
+            return np.multiply(v, np.square(log_v, out=log_v), out=v)
     if family_link == "binary-loglog":
         # u^2 / expm1(u) as (u / expm1(u)) * u with u = e^eta: u * u would
         # underflow for eta below about -372, where the weight is still
@@ -168,21 +172,30 @@ def nu_array(family_link: str, eta, shape=None, variance=None) -> np.ndarray:
         # 0/0 where u has underflowed, and eta is clipped so that u stays
         # finite; where expm1(u) overflows the weight is below the floor.
         with np.errstate(under="ignore", over="ignore"):
-            u = np.exp(np.minimum(eta, _ETA_NU_ZERO))
-            ratio_at = np.maximum(u, _TINY)
-            return ratio_at / np.expm1(ratio_at) * u
+            u = np.exp(np.minimum(eta, _ETA_NU_ZERO, out=eta), out=eta)
+            ratio_at = np.maximum(u, _TINY, out=a)
+            ratio_at /= np.expm1(ratio_at, out=b)
+            return np.multiply(ratio_at, u, out=u)
     if family_link == "poisson-log":
-        return np.exp(eta)
+        return np.exp(eta, out=eta)
     if family_link == "gamma-inverse":
         if shape is None or not (shape > 0):
             raise ConfigError("gamma-inverse weights need shape k > 0")
         with np.errstate(divide="ignore"):
-            return shape / (eta * eta)
+            return np.divide(shape, np.multiply(eta, eta, out=eta), out=eta)
     if family_link == "normal-identity":
         if variance is None or not (variance > 0):
             raise ConfigError("normal-identity weights need variance > 0")
-        return np.full_like(eta, 1.0 / variance)
+        eta.fill(1.0 / variance)
+        return eta
     raise ConfigError(f"unknown family_link {family_link!r}")
+
+
+def nu_array(family_link: str, eta, shape=None, variance=None) -> np.ndarray:
+    """Vectorized, tail-safe nu(eta) on a copy of eta: tiny weights are exact
+    zeros, and inf comes only from gamma-inverse at 0 and poisson-log > 709.78."""
+    eta = np.array(eta, dtype=float)
+    return _nu_into(family_link, eta, *(np.empty_like(eta) for _ in range(3)), shape, variance)
 
 
 def nu_eval(model: GlmModel, eta: float) -> float:

@@ -132,6 +132,8 @@ def test_command_line_seed_must_be_non_negative(tmp_path, capsys, command):
     ({"bogus": 1}, "unknown option keys"),
     ({"max_rounds": 0}, "bad options"),
     ({"tol": -1.0}, "bad options"),
+    ({"tol": "x"}, "bad options: tol must be a positive finite number, got 'x'"),
+    ({"tol": True}, "bad options: tol must be a positive finite number, got True"),
     ([1], "'options' must be an object"),
 ])
 def test_options_block_is_checked_by_optimize_and_refused_by_exact(tmp_path, capsys, options, message):

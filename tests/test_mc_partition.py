@@ -1,7 +1,7 @@
 """Monte Carlo expected weights do not depend on how the work is split.
 
 The draw is 32 fixed sub-streams spawned from the seed; each stream is
-summed on its own, in row chunks, and the stream sums are added in
+summed on its own, in blocks, and the stream sums are added in
 stream order.  So the estimate must be bit-identical whether the streams
 run on one worker or on more workers than there are cores, and, with
 fewer draws than streams, equal to the plain mean over the drawn
@@ -37,7 +37,7 @@ def mc(family, samples, workers, monkeypatch, seed=7):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_one_worker_and_four_workers_agree_bit_for_bit(family, monkeypatch):
-    # 4375 draws per stream: every stream spans a chunk boundary
+    # 4375 draws per stream, in one block at m = 6 (test_mc_workspace.py spans several)
     samples = 32 * 4375 + 5
     one = mc(family, samples, 1, monkeypatch)
     four = mc(family, samples, 4, monkeypatch)

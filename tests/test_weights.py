@@ -196,7 +196,8 @@ def test_compute_weights_rejects_underflowed_rows():
 def test_compute_weights_dimension_and_finite_checks():
     m = model("binary-logit", [1.0, 1.0])
     with pytest.raises(g.DimensionMismatch):
-        g.compute_weights(np.ones((3, 3)), m)
+        with pytest.warns(UserWarning, match="duplicate rows"):
+            g.compute_weights(np.ones((3, 3)), m)
     with pytest.raises(g.DimensionMismatch):
         g.compute_weights(np.ones(3), m)
     with pytest.raises(g.NonFiniteInput):
