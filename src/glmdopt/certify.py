@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
 from .objective import (MASS_ATOL, allocation, design_problem, information_inverse,
                         is_integer, leverages, lift_coefficients, objective, require_spans,
-                        spans)
+                        require_tolerance, spans)
 
 DEFAULT_TOL = 1e-7
 
@@ -153,12 +153,11 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     Raises
     ------
     DimensionMismatch
-        If tol is not positive and finite.
+        If tol is not a positive finite number.
     SingularDesign
         If the rows carrying mass under p do not span R^d.
     """
-    if not 0.0 < tol < np.inf:
-        raise DimensionMismatch(f"tol must be positive and finite, got {tol!r}")
+    require_tolerance(tol)
     X, w = design_problem(X, w)
     m, d = X.shape
     p = allocation(p, m)
@@ -194,7 +193,13 @@ def _conditions(p, delta, d, tol):
 
 
 def certified(p, delta, d, tol: float = DEFAULT_TOL) -> bool:
-    """True when every point passes ``verify_optimal``'s conditions."""
+    """True when every point passes ``verify_optimal``'s conditions.
+
+    A leverage above the band by more than rounding settles it without
+    the table: a positive-mass point fails the band, and a zero-mass one
+    its f_i(1/2) bound, since a + f_i(0)/f >= delta_i (1 - p_i) + 1."""
+    if delta.max() > (d + 2.0**d * tol) * (1.0 + 1e-9):
+        return False
     return bool(_conditions(p, delta, d, tol)[-1].all())
 
 

@@ -7,9 +7,11 @@ coordinate to the closed-form maximum of its profile polynomial
 
 rescaling the remaining mass proportionally.  a and b come from the
 leverage of coordinate i, so the ascent works on ratios f_i(z)/f free of
-the weights' scale.  The sweep runs on plain floats; M(p)^-1 is refreshed
-each round and carried through accepted lifts by in-place Sherman-Morrison
-updates.
+the weights' scale.  The sweep runs on plain floats and keeps p = s q and
+M(p)^-1 = t H in scaled form: a lift rescales the other masses by
+c = (1-z)/(1-p_i), so it writes q_i alone, multiplies s by c and divides
+t by c, and carries H through one in-place Sherman-Morrison update.
+M(p)^-1 is refreshed each round, and p = s q renormalized at its end.
 
 Coordinate ascent slows to a crawl near the optimum and sheds mass from
 points that must leave the support only geometrically.  So every second
@@ -24,7 +26,6 @@ every try.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch
 from .objective import (allocation, design_problem, information_inverse, inverse_factor,
-                        is_integer, leverages, objective, require_spans, validated)
+                        is_integer, objective, require_spans, require_tolerance, validated)
 
 # A point leaves the support before a Newton step when its mass is below
 # this fraction of the mass the step takes from it.
@@ -67,9 +68,7 @@ class LiftOneOptions:
             raise DimensionMismatch("seed must be a non-negative integer")
         if not (is_integer(self.max_rounds) and self.max_rounds >= 1):
             raise DimensionMismatch("max_rounds must be a positive integer")
-        tol = self.tol
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
-            raise DimensionMismatch(f"tol must be a positive finite number, got {tol!r}")
+        require_tolerance(self.tol)
 
 
 @dataclass(frozen=True)
@@ -143,12 +142,12 @@ def _finish(X, w, p, d):
     """
     steps = 0
     while True:
-        L_inv = inverse_factor(X, w, p)
-        delta = leverages(X, w, L_inv.T @ L_inv)
+        XL = X @ inverse_factor(X, w, p).T
+        delta = w * np.einsum("ij,ij->i", XL, XL)
         if certified(p, delta, d):
             return p, steps, True
         S = np.flatnonzero((p > 0.0) | (delta > d))
-        Y = L_inv @ (X[S].T * np.sqrt(w[S]))
+        Y = (XL[S] * np.sqrt(w[S])[:, None]).T
         K = (Y.T @ Y.copy()) ** 2  # a plain GEMM: numpy's symmetric Y'Y is slower
         for step, reach in _directions(p[S], delta[S], K):
             q = _ascend(p, S, step, reach, Y)
@@ -199,17 +198,18 @@ def _model_step(mass, grad, K, out):
     flat: the Newton step leaves them alone, and the flat direction is the
     gradient within them."""
     keep = ~out
-    n = int(keep.sum())
-    shift = mass[out].sum() / n  # the kept points take up the dropped mass
-    Kk = K[np.ix_(keep, keep)]
-    rhs = grad[keep] + K[np.ix_(keep, out)] @ mass[out] - shift * Kk.sum(axis=1)
-    P = np.eye(n) - 1.0 / n
-    e, V = np.linalg.eigh(P @ Kk @ P)
+    Kk, shift, rhs = K, 0.0, grad
+    if out.any():
+        Kk = K[np.ix_(keep, keep)]
+        shift = mass[out].sum() / Kk.shape[0]  # the kept points take up the dropped mass
+        rhs = grad[keep] + K[np.ix_(keep, out)] @ mass[out] - shift * Kk.sum(axis=1)
+    r = Kk.mean(axis=1)
+    e, V = np.linalg.eigh(Kk - r - r[:, None] + r.mean())  # P Kk P for P = I - 11'/n
     c = V.T @ (rhs - rhs.mean())
     curved = e > _FLAT * Kk.diagonal().max()
-    step, flat = -mass.copy(), np.zeros(mass.size)
-    step[keep] = shift + V[:, curved] @ (c[curved] / e[curved])
-    flat[keep] = V[:, ~curved] @ c[~curved]
+    step, flat = -mass, np.zeros(mass.size)
+    step[keep] = shift + V @ np.divide(c, e, out=np.zeros_like(c), where=curved)
+    flat[keep] = V @ np.where(curved, 0.0, c)
     return step, flat
 
 
@@ -229,15 +229,17 @@ def _ascend(p, S, step, reach, Y):
     alpha = reach if reach < np.inf else limit
     if not 0.0 < alpha < np.inf:
         return None
+    pS = p[S]  # S holds the whole support, so q is zero off S
     for _ in range(_HALVINGS):
-        q = p.copy()
-        q[S] += alpha * step
+        qS = pS + alpha * step
         if alpha == limit:  # the ratio test: the blocking masses reach zero
-            q[S[room == limit]] = 0.0
-        q = np.maximum(q, 0.0)
-        q /= q.sum()
-        lam = np.linalg.eigvalsh((Y * (q[S] - p[S])) @ Y.T)
+            qS[room == limit] = 0.0
+        np.maximum(qS, 0.0, out=qS)
+        qS /= qS.sum()
+        lam = np.linalg.eigvalsh((Y * (qS - pS)) @ Y.T)
         if lam[0] > -1.0 and np.log1p(lam).sum() > 0.0:
+            q = np.zeros(p.size)
+            q[S] = qS
             return q
         alpha = max(alpha / 2.0, limit) if alpha > limit else alpha / 2.0
     return None
@@ -270,30 +272,32 @@ def lift_one_optimize(X, w, p0=None, opts: LiftOneOptions | None = None) -> Lift
 
     rng = np.random.default_rng(opts.seed)
     accept = 1.0 + opts.tol
-    rows, wl, v, vv = list(X), w.tolist(), np.empty(d), np.empty((d, d))
+    rows, wl, u, uu = list(X), w.tolist(), np.empty(d), np.empty((d, d))
     finished, polish_steps = False, 0
     for rounds in range(1, opts.max_rounds + 1):
-        M_inv = information_inverse(X, w, p)
+        q, s, H, t = p, 1.0, information_inverse(X, w, p), 1.0  # p = s q, M(p)^-1 = t H
         improved = False
         for i in rng.permutation(m).tolist():
-            v = np.dot(M_inv, rows[i], out=v)
-            pi, delta = p.item(i), wl[i] * float(rows[i] @ v)
+            u = np.dot(H, rows[i], out=u)
+            pi, delta = s * q.item(i), wl[i] * t * float(rows[i] @ u)
             z, ratio = _lift(pi, delta, d)
             if ratio > accept:
                 c = (1.0 - z) / (1.0 - pi)
-                p *= c
-                p[i] = z
-                p /= p.sum()
-                p[i] = z
                 if c > 0.0:  # Sherman-Morrison: M -> c (M + g w_i x_i x_i')
                     g = z / c - pi
-                    vv = np.multiply.outer(v, v, out=vv)
-                    vv *= g * wl[i] / (1.0 + g * delta)
-                    M_inv -= vv
-                    M_inv /= c
+                    uu = np.multiply.outer(u, u, out=uu)
+                    uu *= t * g * wl[i] / (1.0 + g * delta)
+                    H -= uu
+                    s, t = s * c, t / c
+                    q[i] = z / s
+                    if not 1e-100 <= s <= 1e100:  # fold the scales back in
+                        q, s, H, t = q * s, 1.0, H * t, 1.0
                 else:  # z = 1, possible only for d = 1: all mass on row i
-                    M_inv = information_inverse(X, w, p)
+                    q, s = np.zeros(m), 1.0
+                    q[i] = 1.0
+                    H, t = information_inverse(X, w, q), 1.0
                 improved = True
+        p = q / q.sum()
         if improved and rounds % _FINISH_EVERY:
             continue
         q, steps, finished = _finish(X, w, p, d)

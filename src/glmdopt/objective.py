@@ -117,6 +117,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def require_tolerance(tol):
+    """Raise DimensionMismatch unless tol is a real number, not a bool,
+    positive and finite."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise DimensionMismatch(f"tol must be a positive finite number, got {tol!r}")
+
+
 def integer_allocation(n, total: int | None = None) -> np.ndarray:
     """Validate a nonnegative integer allocation with the given total."""
     n = np.asarray(n)

@@ -169,7 +169,7 @@ def test_check_saturated_validation():
         g.check_saturated(X, w[:5], (0, 1, 3))
 
 
-@pytest.mark.parametrize("tol", [np.inf, 0.0, -1e-7, np.nan])
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1e-7, np.nan, True, "x", None])
 def test_verify_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     # p is far from optimal: tol = inf used to certify it all the same
     X, w, p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3), [0.98, 0.01, 0.01]
