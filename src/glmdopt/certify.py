@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularDesign, SingularSupport
-from .objective import (MASS_ATOL, allocation, design_problem, information_inverse,
-                        is_integer, leverages, lift_coefficients, objective, require_spans,
-                        require_tolerance, spans)
+from .objective import (MASS_ATOL, allocation, design_problem, is_integer, lift_coefficients,
+                        objective, require_spans, require_tolerance, spans, whitened)
 
 DEFAULT_TOL = 1e-7
 
@@ -164,7 +163,8 @@ def verify_optimal(X, w, p, tol: float = DEFAULT_TOL) -> OptimalityCertificate:
     require_spans(X, p, "cannot certify a design with a singular information matrix")
     f = objective(X, w, p)
 
-    delta = leverages(X, w, information_inverse(X, w, p))
+    Y = whitened(X, w, p)
+    delta = np.einsum("ij,ij->i", Y, Y)
     p.flags.writeable = delta.flags.writeable = False  # the checks are built from them on read
     optimal = certified(p, delta, d, tol)
     return OptimalityCertificate(optimal=optimal,

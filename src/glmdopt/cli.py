@@ -34,7 +34,7 @@ import numpy as np
 from .certify import verify_optimal
 from .errors import ConfigError, DesignError, SingularDesign, UnsupportedCombination
 from .ew import PointPrior, UniformPrior, expected_weights
-from .exchange import optimize_exact
+from .exchange import MAX_TOTAL, optimize_exact
 from .liftone import LiftOneOptions, lift_one_optimize
 from .objective import design_matrix, is_integer, objective, relative_efficiency, spans, validated
 from .weights import FAMILY_LINKS, GlmModel, compute_weights
@@ -339,10 +339,8 @@ def cmd_exact(cfg: dict, X, w, source, seed, args):
         raise ConfigError("'options' applies to optimize only; exact starts "
                           "from lift-one under default options")
     total = cfg.get("total")
-    if not (is_integer(total) and total >= X.shape[1]):
-        raise ConfigError(
-            f"exact designs need integer 'total' >= d = {X.shape[1]}"
-        )
+    if not (is_integer(total) and X.shape[1] <= total < MAX_TOTAL):
+        raise ConfigError(f"exact designs need integer 'total' >= d = {X.shape[1]} and < 2**52")
     n_starts = cfg.get("n_starts", 5)
     if not (is_integer(n_starts) and n_starts >= 1):
         raise ConfigError("'n_starts' must be a positive integer")

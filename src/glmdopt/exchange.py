@@ -32,13 +32,14 @@ import numpy as np
 
 from .errors import DesignError, DimensionMismatch, EmptyPair
 from .liftone import LiftOneOptions, lift_one_optimize
-from .objective import (allocation, design_problem, integer_allocation, inverse_factor, is_integer,
-                        log_objective, objective, require_spans, spans, validated)
+from .objective import (allocation, design_problem, integer_allocation, is_integer, log_objective,
+                        objective, require_spans, spans, validated, whitened)
 
 _ACCEPT = 1.0 + 1e-12
 _BLOCK = 2048
 _SLACK = 1e-10
 _MAX_PASSES = 10_000
+MAX_TOTAL = 2**52  # from here on the floors of p * total, in doubles, can sum past total
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,9 @@ def exchange_optimize(X, w, n0, seed=0) -> np.ndarray:
 
 
 def _pair_leverages(X, w, n):
-    """G = Y Y' with Y = W^1/2 X L^-T for the Cholesky factor L of M(n), so
-    G_ij = delta_ij = sqrt(w_i w_j) x_i' M(n)^-1 x_j."""
-    Y = (X * np.sqrt(w)[:, None]) @ inverse_factor(X, w, np.array(n, dtype=float)).T
+    """G = Y Y' for Y = ``whitened(X, w, n)``, so G_ij = delta_ij =
+    sqrt(w_i w_j) x_i' M(n)^-1 x_j."""
+    Y = whitened(X, w, np.array(n, dtype=float))
     return Y @ Y.T.copy()  # a plain GEMM: numpy's symmetric product of Y with itself is slower
 
 
@@ -252,10 +253,11 @@ def round_allocation(p, total: int) -> np.ndarray:
     """Largest-remainder rounding of total * p to an integer allocation.
 
     Floors every entry, then hands the leftover units to the largest
-    fractional parts (ties to the lower index).
+    fractional parts (ties to the lower index).  total must be below
+    ``MAX_TOTAL``.
     """
-    if not (is_integer(total) and total >= 1):
-        raise DimensionMismatch("total must be a positive integer")
+    if not (is_integer(total) and 1 <= total < MAX_TOTAL):
+        raise DimensionMismatch(f"total must be a positive integer below 2**52, got {total!r}")
     p = allocation(p)
     scaled = p * total
     base = np.floor(scaled).astype(int)
@@ -301,8 +303,8 @@ def optimize_exact(X, w, total: int, seed=0, n_starts: int = 5) -> np.ndarray:
     m, d = X.shape
     if not is_integer(total):
         raise DimensionMismatch(f"total must be an integer, got {total!r}")
-    if total < d:
-        raise DimensionMismatch(f"total {total} cannot support {d} parameters")
+    if not d <= total < MAX_TOTAL:
+        raise DimensionMismatch(f"total {total} must be at least d = {d} and below 2**52")
     if not (is_integer(n_starts) and n_starts >= 1):
         raise DimensionMismatch("n_starts must be a positive integer")
     require_spans(X, np.ones(m), "design matrix has rank below its column count")

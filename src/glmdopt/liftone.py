@@ -32,8 +32,8 @@ import numpy as np
 
 from .certify import OptimalityCertificate, certified, verify_optimal
 from .errors import DimensionMismatch
-from .objective import (allocation, design_problem, information_inverse, inverse_factor,
-                        is_integer, objective, require_spans, require_tolerance, validated)
+from .objective import (allocation, design_problem, information_inverse, is_integer, objective,
+                        require_spans, require_tolerance, validated, whitened)
 
 # A point leaves the support before a Newton step when its mass is below
 # this fraction of the mass the step takes from it.
@@ -121,33 +121,25 @@ def _lift(pi, delta, d):
     return 0.0, b
 
 
-def _newton_finish(X, w, p, d):
-    """Active-set Newton ascent of log f from p, as (p, steps); see
-    ``_finish``."""
-    p, steps, _ = _finish(X, w, p, d)
-    return p, steps
-
-
 def _finish(X, w, p, d):
     """Active-set Newton ascent of log f from p, leaving p itself alone.
 
     On the support S plus every outside point with delta_i > d (the
     vertex directions), log f has gradient delta_S and Hessian
-    -(G_S o G_S), where G_S = Y'Y for Y = L^-1 X_S' W_S^1/2 and the
-    Cholesky factor L of M(p).  ``_directions`` turns the quadratic model
-    under sum_S p = 1 into steps, which ``_ascend`` shortens until log f
-    strictly rises.  Returns (p, steps, True) once ``certified`` holds on
-    the leverages of the last step, or (p, steps, False) when no
-    direction raises log f.
+    -(G_S o G_S), where G_S = Y'Y for the rows Y' of ``whitened`` on S.
+    ``_directions`` turns the quadratic model under sum_S p = 1 into
+    steps, which ``_ascend`` shortens until log f strictly rises.  Returns
+    (p, steps, True) once ``certified`` holds on the leverages of the last
+    step, or (p, steps, False) when no direction raises log f.
     """
     steps = 0
     while True:
-        XL = X @ inverse_factor(X, w, p).T
-        delta = w * np.einsum("ij,ij->i", XL, XL)
+        Y = whitened(X, w, p)
+        delta = np.einsum("ij,ij->i", Y, Y)
         if certified(p, delta, d):
             return p, steps, True
         S = np.flatnonzero((p > 0.0) | (delta > d))
-        Y = (XL[S] * np.sqrt(w[S])[:, None]).T
+        Y = Y[S].T
         K = (Y.T @ Y.copy()) ** 2  # a plain GEMM: numpy's symmetric Y'Y is slower
         for step, reach in _directions(p[S], delta[S], K):
             q = _ascend(p, S, step, reach, Y)
@@ -204,7 +196,8 @@ def _model_step(mass, grad, K, out):
         shift = mass[out].sum() / Kk.shape[0]  # the kept points take up the dropped mass
         rhs = grad[keep] + K[np.ix_(keep, out)] @ mass[out] - shift * Kk.sum(axis=1)
     r = Kk.mean(axis=1)
-    e, V = np.linalg.eigh(Kk - r - r[:, None] + r.mean())  # P Kk P for P = I - 11'/n
+    # P Kk P - mean(r) 11' for P = I - 11'/n: 1 stays flat, at eigenvalue -n mean(r) <= 0
+    e, V = np.linalg.eigh(Kk - r - r[:, None])
     c = V.T @ (rhs - rhs.mean())
     curved = e > _FLAT * Kk.diagonal().max()
     step, flat = -mass, np.zeros(mass.size)
@@ -219,10 +212,9 @@ def _ascend(p, S, step, reach, Y):
     the ratio-test limit, where masses that go negative are clamped to zero
     (a projected step, Bertsekas 1982, which can drop many points at once),
     and then from the limit itself, where the blocking masses reach zero.
-    With Y = L^-1 X_S' W_S^1/2 for the Cholesky factor L of M(p),
-    log f(q) - log f(p) is the sum of log(1 + lambda) over the eigenvalues
-    of Y diag(q_S - p_S) Y', free of the rounding of two nearly equal
-    log-determinants."""
+    With Y' the rows of ``whitened`` on S, log f(q) - log f(p) is the sum
+    of log(1 + lambda) over the eigenvalues of Y diag(q_S - p_S) Y', free
+    of the rounding of two nearly equal log-determinants."""
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.where(step < 0.0, p[S] / -step, np.inf)
     limit = float(room.min())

@@ -8,10 +8,11 @@ an order-d homogeneous polynomial in p.  This module owns input
 validation, the singularity test, the determinant objective and its
 subset-expansion oracle, single-coordinate lift profiles, and relative
 efficiency.  The optimizers and the certificate share one kernel, the
-Cholesky factor L of M(p), which gives M(p)^-1, the leverages
-delta_i = w_i x_i' M(p)^-1 x_i and log f(p) at any weight scale, and the
-whitened factor Y = W^1/2 X L^-T whose Gram matrix Y Y' holds the pair
-leverages delta_ij; the determinant forms stay as the independent
+Cholesky factor L of M(p), which gives log f(p) at any weight scale and
+the whitened factor Y = W^1/2 X L^-T (``whitened``): the squared row
+norms of Y are the leverages delta_i = w_i x_i' M(p)^-1 x_i, and its Gram
+matrix Y Y' holds the pair leverages delta_ij.  Only lift-one's sweep
+carries M(p)^-1 itself; the determinant forms stay as the independent
 oracles the tests check them against.
 """
 
@@ -206,30 +207,34 @@ def objective(X, w, p) -> float:
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_dims(X, w, p)
-    M = X.T @ (X * (p * w)[:, None])
     with np.errstate(over="ignore"):
-        det = float(np.linalg.det(M))
+        det = float(np.linalg.det(_information(X, w, p)))
     return det if det > 0.0 else 0.0
 
 
+def _information(X, w, p) -> np.ndarray:
+    """M(p) = X' diag(p*w) X."""
+    return X.T @ (X * (p * w)[:, None])
+
+
 def _cholesky(X, w, p) -> np.ndarray:
-    """Cholesky factor L of M(p) = X' diag(p*w) X; raises SingularDesign if
-    M(p) is not numerically positive definite."""
-    M = X.T @ (X * (p * w)[:, None])
+    """Cholesky factor L of M(p); raises SingularDesign if M(p) is not
+    numerically positive definite."""
     try:
-        return np.linalg.cholesky(M)
+        return np.linalg.cholesky(_information(X, w, p))
     except np.linalg.LinAlgError:
         raise SingularDesign("information matrix is not positive definite") from None
 
 
-def inverse_factor(X, w, p) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of M(p), so that M(p)^-1 = L^-T L^-1."""
-    return np.linalg.inv(_cholesky(X, w, p))
+def whitened(X, w, p) -> np.ndarray:
+    """Y = W^1/2 X L^-T for the Cholesky factor L of M(p): the leverages are
+    delta_i = |y_i|^2 and the pair leverages delta_ij = y_i' y_j."""
+    return (X * np.sqrt(w)[:, None]) @ np.linalg.inv(_cholesky(X, w, p)).T
 
 
 def information_inverse(X, w, p) -> np.ndarray:
-    """M(p)^-1 via the Cholesky factor, at any mass scale."""
-    L_inv = inverse_factor(X, w, p)
+    """M(p)^-1 = L^-T L^-1 via the Cholesky factor, at any mass scale."""
+    L_inv = np.linalg.inv(_cholesky(X, w, p))
     return L_inv.T @ L_inv
 
 
@@ -239,7 +244,8 @@ def log_objective(X, w, p) -> float:
 
 
 def leverages(X, w, M_inv) -> np.ndarray:
-    """delta_i = w_i x_i' M^-1 x_i for every row of X."""
+    """delta_i = w_i x_i' M^-1 x_i for every row of X from a given M^-1, the
+    reference form of the leverages the runtime takes from ``whitened``."""
     return w * np.einsum("ij,jk,ik->i", X, M_inv, X)
 
 

@@ -141,3 +141,71 @@ def test_options_block_is_checked_by_optimize_and_refused_by_exact(tmp_path, cap
     assert message in config_error(capsys, ["optimize", "--config", cfg])
     # exact's lift-one start runs under default options, so a block would be ignored
     assert "'options' applies to optimize only" in config_error(capsys, ["exact", "--config", cfg])
+
+
+def uniform_prior(**component):
+    return [{"dist": "uniform", "params": [0.0, 1.0], **component}] + POINTS
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("weights", {"matrix": None}, "config needs 'matrix'"),
+    ("weights", {"matrix": 5}, "'matrix' must be a CSV path string or a list of rows"),
+    ("weights", {"family_link": "gamma-inverse", "beta": [1.0, 0.1, 0.1], "shape": 10**400},
+     "'shape' is beyond the double range"),
+    ("weights", {"prior": []}, "'prior' must be a non-empty list"),
+    ("weights", {"prior": {"dist": "point"}}, "'prior' must be a non-empty list"),
+    ("weights", {"prior": [1] + POINTS}, "prior component 0 must be an object"),
+    ("weights", {"prior": uniform_prior(params=[0.0])}, "prior component 0: uniform needs params [lo, hi]"),
+    ("weights", {"prior": uniform_prior(dist="point", params=[0.1, 0.2])},
+     "prior component 0: point needs params [value]"),
+    ("weights", {"prior": [{"dist": "point"}] + POINTS}, "prior component 0: point needs a value"),
+    ("ew", {"prior": uniform_prior(), "ew": {"samples": 0}}, "'ew.samples' must be a positive integer"),
+    ("ew", {"prior": uniform_prior(), "ew": {"samples": 2.5}}, "'ew.samples' must be a positive integer"),
+    ("ew", {}, "the 'ew' subcommand needs 'prior'"),
+    ("optimize", {"prior": uniform_prior()}, "this command needs 'beta'"),
+    ("optimize", {"family_link": "gamma-inverse", "beta": [1.0, 0.1, 0.1]}, "bad model: gamma-inverse requires shape"),
+])
+def test_config_keys_are_checked(tmp_path, capsys, command, cfg, message):
+    assert message in config_error(capsys, [command, "--config", config(tmp_path, **cfg)])
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "\"matrix\"", "3"])
+def test_config_root_must_be_an_object(tmp_path, capsys, text):
+    path = write(tmp_path, "cfg.json", text)
+    assert "config root must be a JSON object" in config_error(capsys, ["weights", "--config", path])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("\n ,  \n\n", "is empty"),
+    ("a,b,c\n", "has a header but no data rows"),
+])
+def test_matrix_csv_needs_data_rows(tmp_path, capsys, text, message):
+    write(tmp_path, "X.csv", text)
+    err = config_error(capsys, ["weights", "--config", config(tmp_path, matrix="X.csv")])
+    assert "matrix CSV" in err and message in err
+
+
+@pytest.mark.parametrize("total", [2**52, 2**63 + 5, 10**30])
+def test_exact_total_beyond_the_exact_rounding_range(tmp_path, capsys, total):
+    err = config_error(capsys, ["exact", "--config", config(tmp_path, total=total)])
+    assert "'total'" in err and "2**52" in err
+
+
+def test_allocation_file_must_be_readable_and_carry_mass(tmp_path, capsys):
+    cfg = config(tmp_path)
+    missing = str(tmp_path / "missing.txt")
+    zero = write(tmp_path, "zero.txt", "0\n0\n0\n0\n")
+    assert "cannot read allocation file" in config_error(capsys, ["verify", "--config", cfg, missing])
+    assert "allocation file" in config_error(capsys, ["efficiency", "--config", cfg, zero, missing])
+    assert "sums to zero" in config_error(capsys, ["verify", "--config", cfg, zero])
+
+
+def test_allocation_file_blank_lines_are_skipped(tmp_path, capsys):
+    cfg = config(tmp_path)
+    spaced = write(tmp_path, "spaced.txt", "\n1\n\n  \n1\n1\n1\n\n")
+    plain = write(tmp_path, "plain.txt", "1\n1\n1\n1\n")
+    assert cli.main(["verify", "--config", cfg, "--out", "json", spaced]) == cli.EXIT_OK
+    spaced_out = capsys.readouterr().out
+    assert cli.main(["verify", "--config", cfg, "--out", "json", plain]) == cli.EXIT_OK
+    assert spaced_out == capsys.readouterr().out

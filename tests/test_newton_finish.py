@@ -16,7 +16,7 @@ import pytest
 import glmdopt as g
 from conftest import gamma_2x4, logit_2x3, matrix_2x3_dummy, poisson_2x2, uniform_box_prior
 from glmdopt.certify import certified
-from glmdopt.liftone import _newton_finish
+from glmdopt.liftone import _finish
 from glmdopt.objective import information_inverse, leverages, log_objective
 
 # Any gain counts as progress, so the sweep alone runs to its limit.
@@ -119,7 +119,7 @@ def test_finish_certifies_from_arbitrary_starts():
         p = rng.dirichlet(np.full(m, 0.3))
         if np.linalg.matrix_rank(X[p > 0]) < d:
             continue
-        p, steps = _newton_finish(X, w, p, d)
+        p, steps = _finish(X, w, p, d)[:2]
         assert certified(p, leverages(X, w, information_inverse(X, w, p)), d), steps
 
 

@@ -13,7 +13,7 @@ import pytest
 import glmdopt as g
 from conftest import gamma_2x4, logit_2x3, poisson_2x2
 from glmdopt.certify import DEFAULT_TOL, _conditions
-from glmdopt.objective import allocation, information_inverse, leverages, objective
+from glmdopt.objective import allocation, objective, whitened
 
 
 def eager(X, w, p, tol=DEFAULT_TOL):
@@ -21,7 +21,8 @@ def eager(X, w, p, tol=DEFAULT_TOL):
     d = X.shape[1]
     p = allocation(p, X.shape[0])
     f = objective(X, w, p)
-    delta = leverages(X, w, information_inverse(X, w, p))
+    Y = whitened(X, w, p)
+    delta = np.einsum("ij,ij->i", Y, Y)
     zero, over, band, at_zero, at_half, passed = _conditions(p, delta, d, tol)
     checks = []
     for i in range(len(p)):
