@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveWeight,
     SingularDesign,
     SingularSupport,
-    TooManySubsets,
     UnsupportedCombination,
 )
 from .ew import PointPrior, UniformPrior, ew_optimize, expected_weights
@@ -44,19 +43,13 @@ from .liftone import (
     LiftOneOptions,
     LiftOneResult,
     lift_one_optimize,
-    maximize_profile,
 )
 from .objective import (
     MASS_ATOL,
-    MAX_SUBSETS,
-    LiftProfile,
     allocation,
     design_matrix,
     integer_allocation,
-    lift_allocation,
-    lift_profile,
     objective,
-    objective_expansion,
     relative_efficiency,
 )
 from .weights import (
@@ -73,7 +66,6 @@ __all__ = [
     "DEFAULT_TOL",
     "FAMILY_LINKS",
     "MASS_ATOL",
-    "MAX_SUBSETS",
     "WEIGHT_FLOOR",
     "ConfigError",
     "DesignError",
@@ -83,7 +75,6 @@ __all__ = [
     "GlmModel",
     "LiftOneOptions",
     "LiftOneResult",
-    "LiftProfile",
     "NonFiniteInput",
     "NonPositiveWeight",
     "OptimalityCertificate",
@@ -93,7 +84,6 @@ __all__ = [
     "SaturatedPoint",
     "SingularDesign",
     "SingularSupport",
-    "TooManySubsets",
     "UniformPrior",
     "UnsupportedCombination",
     "allocation",
@@ -104,14 +94,10 @@ __all__ = [
     "exchange_optimize",
     "expected_weights",
     "integer_allocation",
-    "lift_allocation",
     "lift_one_optimize",
-    "lift_profile",
     "maximize_pair",
-    "maximize_profile",
     "nu_eval",
     "objective",
-    "objective_expansion",
     "optimize_exact",
     "pair_profile",
     "relative_efficiency",

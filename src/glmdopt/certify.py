@@ -14,7 +14,7 @@ d x d solve, implemented by ``check_saturated``.
 ``verify_optimal`` evaluates these inequalities from the leverages
 delta_i = w_i x_i' M(p)^-1 x_i, where they read delta_i <= d on zero-mass
 points and delta_i = d on support points (Kiefer and Wolfowitz, 1960);
-the tests check them against the determinant oracles in ``objective``.
+the tests check them against the determinant oracles in ``tests/oracles.py``.
 Its certificate stores p, the leverages, f, d and tol, and
 ``per_point`` builds each point's ``PointCheck`` from them when it is
 read, so a certificate keeps O(m) floats rather than m objects.

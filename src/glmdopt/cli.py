@@ -259,9 +259,12 @@ def _load_allocation(path: str, m: int) -> np.ndarray:
         raise ConfigError(f"allocation file {path} has non-finite entries")
     if np.any(v < 0):
         raise ConfigError(f"allocation file {path} has negative entries")
-    total = v.sum()
+    with np.errstate(over="ignore"):
+        total = v.sum()
     if not total > 0:
         raise ConfigError(f"allocation file {path} sums to zero")
+    if total == math.inf:
+        raise ConfigError(f"allocation file {path} sums past the double range")
     return v / total
 
 

@@ -39,10 +39,6 @@ class GammaZeroEta(DesignError):
     """Gamma-inverse weight requested at eta = 0 (undefined mean)."""
 
 
-class TooManySubsets(DesignError):
-    """The subset-expansion objective would enumerate too many terms."""
-
-
 class EmptyPair(DesignError):
     """A pair exchange was requested for two points holding zero units."""
 

@@ -232,12 +232,6 @@ class _Scan:
         return None
 
 
-def _scaled_pair_profile(G, n, i, j, s) -> PairProfile:
-    """The pair quadratic of f_ij(z) / f(n)."""
-    A, B, C, D = _pair_coefficients(G[i, i], G[j, j], G[i, j], float(n[i]), float(n[j]))
-    return PairProfile(A, B, C, D, s)
-
-
 def _pair_coefficients(dii, djj, dij, ni, nj):
     """(A, B, C, D) of the pair quadratic of f_ij(z) / f(n).  In the new
     counts (u, v) Fedorov's identity is D + B u + C v + A u v, which along

@@ -91,24 +91,9 @@ class LiftOneResult:
     polish_steps: int = field(default=0)
 
 
-def maximize_profile(prof) -> tuple[float, float]:
-    """Closed-form maximum of f_i(z) = a z(1-z)^(d-1) + b (1-z)^d on [0,1].
-
-    If a > b d the maximum sits at z* = (a - b d)/((a - b) d) with value
-    ((d-1)/(a-b))^(d-1) (a/d)^d; otherwise it sits at z* = 0 with value b.
-    The returned value is the polynomial evaluated at z*, which equals the
-    closed form while staying finite for extreme coefficient scales.
-    """
-    a, b, d = prof.a, prof.b, prof.d
-    if a > b * d:
-        z = (a - b * d) / ((a - b) * d)
-        return z, prof.value(z)
-    return 0.0, b
-
-
 def _lift(pi, delta, d):
-    """(z*, f_i(z*)/f) of ``maximize_profile`` for coordinate i, on plain
-    floats, from its mass pi and leverage delta.  p_i = 1 (only for d = 1)
+    """(z*, f_i(z*)/f) at the closed-form maximum of coordinate i's lift
+    profile, on plain floats, from its mass pi and leverage delta.  p_i = 1 (only for d = 1)
     stays: z* = 1."""
     if pi == 1.0:
         return 1.0, 1.0

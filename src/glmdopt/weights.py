@@ -113,11 +113,11 @@ class GlmModel:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "d", beta.size)
         if self.family_link == "gamma-inverse":
-            if self.shape is None or not (self.shape > 0):
-                raise NonFiniteInput("gamma-inverse requires shape k > 0")
+            if self.shape is None or not (0 < self.shape < math.inf):
+                raise NonFiniteInput("gamma-inverse requires shape 0 < k < inf")
         if self.family_link == "normal-identity":
-            if self.variance is None or not (self.variance > 0):
-                raise NonFiniteInput("normal-identity requires variance > 0")
+            if self.variance is None or not (0 < self.variance < math.inf):
+                raise NonFiniteInput("normal-identity requires variance 0 < sigma^2 < inf")
 
 
 def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -177,15 +177,16 @@ def _nu_into(family_link: str, eta, a, b, c, shape=None, variance=None) -> np.nd
             ratio_at /= np.expm1(ratio_at, out=b)
             return np.multiply(ratio_at, u, out=u)
     if family_link == "poisson-log":
-        return np.exp(eta, out=eta)
+        with np.errstate(over="ignore"):  # callers report an infinite weight
+            return np.exp(eta, out=eta)
     if family_link == "gamma-inverse":
-        if shape is None or not (shape > 0):
-            raise ConfigError("gamma-inverse weights need shape k > 0")
+        if shape is None or not (0 < shape < math.inf):
+            raise ConfigError("gamma-inverse weights need shape 0 < k < inf")
         with np.errstate(divide="ignore"):
             return np.divide(shape, np.multiply(eta, eta, out=eta), out=eta)
     if family_link == "normal-identity":
-        if variance is None or not (variance > 0):
-            raise ConfigError("normal-identity weights need variance > 0")
+        if variance is None or not (0 < variance < math.inf):
+            raise ConfigError("normal-identity weights need variance 0 < sigma^2 < inf")
         eta.fill(1.0 / variance)
         return eta
     raise ConfigError(f"unknown family_link {family_link!r}")
@@ -257,9 +258,8 @@ def compute_weights(X, model: GlmModel) -> np.ndarray:
     unusable = ~(np.isfinite(w) & (w >= WEIGHT_FLOOR))
     if unusable.any():
         i = int(np.argmax(unusable))
-        raise NonPositiveWeight(
-            f"row {i}: weight {w[i]:.3g} at eta = {eta[i]:.6g} is below "
-            f"the usable floor {WEIGHT_FLOOR:g}",
-            index=i,
-        )
+        problem = ("overflows the double range" if w[i] == math.inf
+                   else f"is below the usable floor {WEIGHT_FLOOR:g}")
+        raise NonPositiveWeight(f"row {i}: weight {w[i]:.3g} at eta = {eta[i]:.6g} {problem}",
+                                index=i)
     return w

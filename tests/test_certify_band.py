@@ -10,7 +10,8 @@ import numpy as np
 
 import glmdopt as g
 from glmdopt.certify import DEFAULT_TOL, certified
-from glmdopt.objective import information_inverse, leverages
+from glmdopt.objective import information_inverse
+from oracles import leverages
 
 
 def test_tiny_mass_on_a_high_leverage_point_is_refuted():

@@ -8,6 +8,7 @@ error".  Singular designs and domain violations stay exit 3 (see
 """
 
 import json
+import math
 
 import pytest
 
@@ -58,6 +59,8 @@ def test_point_prior_value_must_be_a_number(tmp_path, capsys, value):
     ("gamma-inverse", "shape", [1]),
     ("normal-identity", "variance", [1]),
     ("normal-identity", "variance", "abc"),
+    ("gamma-inverse", "shape", math.inf),
+    ("normal-identity", "variance", math.inf),
 ])
 def test_shape_and_variance_must_be_numbers(tmp_path, capsys, family, key, value):
     # with beta they reach GlmModel; with a prior they reach expected_weights
@@ -199,6 +202,8 @@ def test_allocation_file_must_be_readable_and_carry_mass(tmp_path, capsys):
     assert "cannot read allocation file" in config_error(capsys, ["verify", "--config", cfg, missing])
     assert "allocation file" in config_error(capsys, ["efficiency", "--config", cfg, zero, missing])
     assert "sums to zero" in config_error(capsys, ["verify", "--config", cfg, zero])
+    huge = write(tmp_path, "huge.txt", "1e308\n" * 4)
+    assert "huge.txt sums past the double range" in config_error(capsys, ["verify", "--config", cfg, huge])
 
 
 def test_allocation_file_blank_lines_are_skipped(tmp_path, capsys):

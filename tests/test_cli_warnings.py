@@ -51,3 +51,14 @@ def test_warning_precedes_the_error_line(tmp_path):
     assert bad.stdout == ""
     assert bad.stderr.splitlines()[0] == DUPLICATE
     assert bad.stderr.splitlines()[1].startswith("numerical error:")
+
+
+def test_overflowing_weight_is_an_error_without_a_warning(tmp_path):
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"matrix": [[1, 0], [1, 1], [1, 8]], "family_link": "poisson-log",
+                               "beta": [0.0, 100.0]}))  # eta = 800 on row 2
+    run = glmdopt("weights", "--config", str(cfg))
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == [
+        "numerical error: row 2: weight inf at eta = 800 overflows the double range"
+    ]

@@ -17,7 +17,8 @@ import itertools
 import numpy as np
 
 import glmdopt as g
-from glmdopt.objective import information_inverse, leverages, log_objective
+from glmdopt.objective import information_inverse, log_objective
+from oracles import leverages
 
 CASES = 60
 FAMILIES = ("binary-logit", "binary-probit", "binary-cloglog", "binary-loglog", "poisson-log")

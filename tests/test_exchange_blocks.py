@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import glmdopt as g
-from glmdopt.exchange import _ACCEPT, _exact_start, _pair_leverages, _scaled_pair_profile
+from glmdopt.exchange import _ACCEPT, _exact_start, _pair_leverages
+from oracles import _scaled_pair_profile
 from test_exchange_reference import reference_exchange
 
 BLOCK = 2048

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 
 import glmdopt as g
-from glmdopt.exchange import _ACCEPT, _pair_leverages, _scaled_pair_profile
+from glmdopt.exchange import _ACCEPT, _pair_leverages
+from oracles import _scaled_pair_profile
 
 
 def reference_exchange(X, w, n0, seed):

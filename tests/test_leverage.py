@@ -8,8 +8,9 @@ import pytest
 
 import glmdopt as g
 from conftest import gamma_2x4, poisson_2x2, random_problem
-from glmdopt.exchange import _pair_leverages, _scaled_pair_profile
-from glmdopt.objective import information_inverse, leverages, lift_coefficients
+from glmdopt.exchange import _pair_leverages
+from glmdopt.objective import information_inverse, lift_coefficients
+from oracles import _scaled_pair_profile, leverages, lift_allocation, lift_profile
 
 
 def _well_conditioned(X, w, q):
@@ -29,7 +30,7 @@ def test_lift_coefficients_match_determinant_profile(rng):
         delta = leverages(X, w, information_inverse(X, w, p))
         a, b = lift_coefficients(p, delta, d)
         for i in range(m):
-            prof = g.lift_profile(X, w, p, i)
+            prof = lift_profile(X, w, p, i)
             scale = max(prof.a, prof.b)
             assert abs(a[i] * f - prof.a) <= 1e-9 * scale
             assert abs(b[i] * f - prof.b) <= 1e-9 * scale
@@ -75,9 +76,9 @@ def test_certificate_sides_match_lifted_objective(rng):
             assert type(pc.lhs) is float and type(pc.rhs) is float
             assert type(pc.passed) is bool
             if pc.case == "zero-mass":
-                direct = g.objective(X, w, g.lift_allocation(p, pc.index, 0.5))
+                direct = g.objective(X, w, lift_allocation(p, pc.index, 0.5))
             elif p[pc.index] <= 1.0 / d:
-                direct = g.objective(X, w, g.lift_allocation(p, pc.index, 0.0))
+                direct = g.objective(X, w, lift_allocation(p, pc.index, 0.0))
             else:
                 continue
             assert abs(pc.lhs - direct) <= 1e-9 * f

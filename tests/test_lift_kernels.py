@@ -1,4 +1,4 @@
-"""Lift-one's best-lift kernel against the public closed form.
+"""Lift-one's best-lift kernel against the closed-form oracle.
 
 The random sweep takes one coordinate at a time on plain floats
 (``_lift``), which must give the ``maximize_profile`` answer for the
@@ -14,13 +14,14 @@ import pytest
 import glmdopt as g
 from glmdopt.liftone import _lift
 from glmdopt.objective import lift_coefficients
+from oracles import LiftProfile, maximize_profile
 
 CASES = 3000
 
 
 def oracle(pi, delta, d):
     a, b = lift_coefficients(pi, delta, d)
-    return g.maximize_profile(g.LiftProfile(a=max(a, 0.0), b=float(b), d=d))
+    return maximize_profile(LiftProfile(a=max(a, 0.0), b=float(b), d=d))
 
 
 def random_points(rng, n):
@@ -53,7 +54,7 @@ def test_best_lift_is_the_profile_maximum():
     grid = np.linspace(0.0, 1.0, 2001)
     for pi, di, k in zip(p.tolist(), delta.tolist(), d.tolist()):
         a, b = lift_coefficients(pi, di, k)
-        profile = g.LiftProfile(a=max(a, 0.0), b=float(b), d=k)
+        profile = LiftProfile(a=max(a, 0.0), b=float(b), d=k)
         z, ratio = _lift(pi, di, k)
         assert 0.0 <= z <= 1.0
         assert ratio == pytest.approx(profile.value(z), rel=1e-12)

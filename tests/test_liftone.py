@@ -11,6 +11,7 @@ from conftest import (
     poisson_2x2,
     random_problem,
 )
+from oracles import LiftProfile, maximize_profile
 
 
 def test_options_validation():
@@ -31,7 +32,7 @@ def test_maximize_profile_against_grid(rng):
         b = float(rng.uniform(0.0, 5.0))
         if a + b == 0.0:
             continue
-        prof = g.LiftProfile(a=a, b=b, d=d)
+        prof = LiftProfile(a=a, b=b, d=d)
         z_star, val = maximize(prof)
         grid = prof.a * zs * (1 - zs) ** (d - 1) + prof.b * (1 - zs) ** d
         assert val >= grid.max() - 1e-9 * max(grid.max(), 1.0)
@@ -40,18 +41,18 @@ def test_maximize_profile_against_grid(rng):
 
 
 def maximize(prof):
-    return g.maximize_profile(prof)
+    return maximize_profile(prof)
 
 
 def test_maximize_profile_boundary_cases():
     # a <= b d: decreasing on [0, 1), maximum at z = 0
-    z, val = maximize(g.LiftProfile(a=1.0, b=1.0, d=3))
+    z, val = maximize(LiftProfile(a=1.0, b=1.0, d=3))
     assert z == 0.0 and val == 1.0
     # b = 0: pure lift term, interior maximum at z = 1/d
-    z, val = maximize(g.LiftProfile(a=2.0, b=0.0, d=4))
+    z, val = maximize(LiftProfile(a=2.0, b=0.0, d=4))
     assert z == pytest.approx(0.25, rel=1e-12)
     # d = 1: profile is linear in z
-    z, val = maximize(g.LiftProfile(a=3.0, b=1.0, d=1))
+    z, val = maximize(LiftProfile(a=3.0, b=1.0, d=1))
     assert z == 1.0 and val == 3.0
 
 

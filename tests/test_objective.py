@@ -7,6 +7,7 @@ import pytest
 
 import glmdopt as g
 from conftest import logit_2x3, matrix_2x2, random_problem
+from oracles import LiftProfile, TooManySubsets, lift_allocation, lift_profile, objective_expansion
 
 
 def test_design_matrix_validation():
@@ -79,7 +80,7 @@ def test_objective_matches_subset_expansion(rng):
         X, w = random_problem(rng, m_max=12, d_max=5)
         p = rng.dirichlet(np.ones(X.shape[0]))
         f = g.objective(X, w, p)
-        fx = g.objective_expansion(X, w, p)
+        fx = objective_expansion(X, w, p)
         assert fx == pytest.approx(f, rel=1e-9, abs=1e-300)
 
 
@@ -96,33 +97,33 @@ def test_objective_expansion_subset_guard():
     X = np.column_stack([np.ones(40), np.arange(40.0)[:, None] ** np.arange(1, 8)])
     w = np.ones(40)
     p = np.full(40, 1 / 40)
-    with pytest.raises(g.TooManySubsets):
-        g.objective_expansion(X, w, p)  # C(40, 8) = 7.7e7 subsets
+    with pytest.raises(TooManySubsets):
+        objective_expansion(X, w, p)  # C(40, 8) = 7.7e7 subsets
 
 
 def test_lift_allocation_basic():
     p = np.array([0.2, 0.3, 0.5])
-    q = g.lift_allocation(p, 0, 0.6)
+    q = lift_allocation(p, 0, 0.6)
     assert q[0] == 0.6
     assert q.sum() == pytest.approx(1.0, abs=1e-15)
     # remaining mass keeps the old proportions
     assert q[1] / q[2] == pytest.approx(0.3 / 0.5, rel=1e-12)
     # z = p_i returns the same allocation
-    np.testing.assert_allclose(g.lift_allocation(p, 1, 0.3), p, rtol=1e-15)
+    np.testing.assert_allclose(lift_allocation(p, 1, 0.3), p, rtol=1e-15)
 
 
 def test_lift_allocation_edges():
     p = np.array([0.2, 0.3, 0.5])
-    q = g.lift_allocation(p, 2, 0.0)
+    q = lift_allocation(p, 2, 0.0)
     assert q[2] == 0.0 and q.sum() == pytest.approx(1.0, abs=1e-15)
     # degenerate source point: with all mass on i there are no other
     # proportions to rescale, so the rest stays at zero
-    q1 = g.lift_allocation(np.array([1.0, 0.0]), 0, 0.4)
+    q1 = lift_allocation(np.array([1.0, 0.0]), 0, 0.4)
     assert q1[0] == 0.4 and q1[1] == 0.0
     with pytest.raises(g.DimensionMismatch):
-        g.lift_allocation(p, 0, 1.2)
+        lift_allocation(p, 0, 1.2)
     with pytest.raises(g.DimensionMismatch):
-        g.lift_allocation(p, 5, 0.5)
+        lift_allocation(p, 5, 0.5)
 
 
 def test_lift_profile_reconstructs_objective(rng):
@@ -132,10 +133,10 @@ def test_lift_profile_reconstructs_objective(rng):
         m, d = X.shape
         p = rng.dirichlet(np.ones(m))
         i = int(rng.integers(m))
-        prof = g.lift_profile(X, w, p, i)
+        prof = lift_profile(X, w, p, i)
         assert prof.d == d
         for z in rng.uniform(0.0, 0.999, 8):
-            direct = g.objective(X, w, g.lift_allocation(p, i, z))
+            direct = g.objective(X, w, lift_allocation(p, i, z))
             poly = prof.a * z * (1 - z) ** (d - 1) + prof.b * (1 - z) ** d
             assert poly == pytest.approx(direct, rel=1e-9, abs=1e-300)
 
@@ -145,8 +146,8 @@ def test_lift_profile_endpoints(rng):
     m, d = X.shape
     p = rng.dirichlet(np.ones(m))
     for i in range(m):
-        prof = g.lift_profile(X, w, p, i)
-        f0 = g.objective(X, w, g.lift_allocation(p, i, 0.0))
+        prof = lift_profile(X, w, p, i)
+        f0 = g.objective(X, w, lift_allocation(p, i, 0.0))
         assert prof.b == pytest.approx(f0, rel=1e-9, abs=1e-300)
         assert prof.value(float(p[i])) == pytest.approx(
             g.objective(X, w, p), rel=1e-9
@@ -156,16 +157,16 @@ def test_lift_profile_endpoints(rng):
 def test_lift_profile_requires_positive_objective():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
     with pytest.raises(g.SingularDesign):
-        g.lift_profile(X, np.ones(3), np.array([0.5, 0.5, 0.0]), 2)
+        lift_profile(X, np.ones(3), np.array([0.5, 0.5, 0.0]), 2)
 
 
 def test_lift_profile_invariant_rejects_negative():
     with pytest.raises(g.SingularDesign):
-        g.LiftProfile(a=-1.0, b=1.0, d=3)
+        LiftProfile(a=-1.0, b=1.0, d=3)
     with pytest.raises(g.SingularDesign):
-        g.LiftProfile(a=0.0, b=0.0, d=2)
+        LiftProfile(a=0.0, b=0.0, d=2)
     with pytest.raises(g.DimensionMismatch):
-        g.LiftProfile(a=1.0, b=1.0, d=0)
+        LiftProfile(a=1.0, b=1.0, d=0)
 
 
 def test_relative_efficiency():
